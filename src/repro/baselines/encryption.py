@@ -23,11 +23,17 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple, Union
 
+from ..client.pipeline import (
+    aggregate_rows,
+    finish_rows,
+    hash_join,
+    join_row,
+    project_join,
+)
 from ..errors import ProviderError, QueryError
 from ..providers.storage import SortedShareIndex
 from ..sim.costmodel import CostRecorder
 from ..sim.network import SimulatedNetwork
-from ..sqlengine.executor import compute_aggregate
 from ..sqlengine.expression import (
     Between,
     Comparison,
@@ -417,21 +423,9 @@ class _BaseEncryptedClient:
         )
         rows = [self._decrypt_row(blob) for _, blob in response["rows"]]
         rows = [row for row in rows if residual.matches(row)]
-        if query.order_by is not None:
-            from ..sqlengine.schema import python_value_sort_key
-
-            column = schema.column(query.order_by)
-            rows.sort(
-                key=lambda r: python_value_sort_key(column, r.get(query.order_by)),
-                reverse=query.descending,
-            )
-        if query.limit is not None:
-            rows = rows[: query.limit]
-        if query.columns:
-            for name in query.columns:
-                schema.column(name)
-            rows = [{c: row[c] for c in query.columns} for row in rows]
-        return rows
+        for name in query.columns:
+            schema.column(name)
+        return finish_rows(schema, query, rows)
 
     def _aggregate(self, query: Select, conditions, residual):
         # the encryption model can only aggregate server-side when the
@@ -442,11 +436,7 @@ class _BaseEncryptedClient:
         )
         rows = [self._decrypt_row(blob) for _, blob in response["rows"]]
         rows = [row for row in rows if residual.matches(row)]
-        if query.is_grouped:
-            from ..sqlengine.executor import compute_group_aggregate
-
-            return compute_group_aggregate(query.aggregate, query.group_by, rows)
-        return compute_aggregate(query.aggregate, rows)
+        return aggregate_rows(query, rows)
 
     def join(self, query: JoinSelect) -> List[Row]:
         left_pred, right_pred, residual = _split_join_where(query)
@@ -456,24 +446,7 @@ class _BaseEncryptedClient:
         right_conditions, right_residual = self._compile_conditions(
             query.right_table, right_pred
         )
-        server_joinable = self._server_joinable(query)
-        if server_joinable:
-            response = self._call(
-                "join",
-                {
-                    "left": query.left_table,
-                    "right": query.right_table,
-                    "left_column": query.left_column,
-                    "right_column": query.right_column,
-                    "left_conditions": left_conditions,
-                    "right_conditions": right_conditions,
-                },
-            )
-            pairs = [
-                (self._decrypt_row(lblob), self._decrypt_row(rblob))
-                for _, _, lblob, rblob in response["rows"]
-            ]
-        else:
+        if not self._server_joinable(query):
             left_rows = [
                 self._decrypt_row(blob)
                 for _, blob in self._call(
@@ -488,19 +461,28 @@ class _BaseEncryptedClient:
                     {"table": query.right_table, "conditions": right_conditions},
                 )["rows"]
             ]
-            build: Dict[object, List[Row]] = {}
-            for row in right_rows:
-                key = row.get(query.right_column)
-                if key is not None:
-                    build.setdefault(key, []).append(row)
             self.cost.record("compare", len(left_rows) + len(right_rows))
-            pairs = [
-                (lrow, rrow)
-                for lrow in left_rows
-                for rrow in build.get(lrow.get(query.left_column), ())
-            ]
+            return hash_join(
+                query,
+                [row for row in left_rows if left_residual.matches(row)],
+                [row for row in right_rows if right_residual.matches(row)],
+                residual,
+            )
+        response = self._call(
+            "join",
+            {
+                "left": query.left_table,
+                "right": query.right_table,
+                "left_column": query.left_column,
+                "right_column": query.right_column,
+                "left_conditions": left_conditions,
+                "right_conditions": right_conditions,
+            },
+        )
         out: List[Row] = []
-        for lrow, rrow in pairs:
+        for _, _, lblob, rblob in response["rows"]:
+            lrow = self._decrypt_row(lblob)
+            rrow = self._decrypt_row(rblob)
             if not left_residual.matches(lrow) or not right_residual.matches(rrow):
                 continue
             if (
@@ -508,15 +490,10 @@ class _BaseEncryptedClient:
                 or lrow.get(query.left_column) != rrow.get(query.right_column)
             ):
                 continue  # bucket-token false positives
-            merged = {f"{query.left_table}.{k}": v for k, v in lrow.items()}
-            merged.update(
-                {f"{query.right_table}.{k}": v for k, v in rrow.items()}
-            )
+            merged = join_row(query, lrow, rrow)
             if residual.matches(merged):
                 out.append(merged)
-        if query.columns:
-            out = [{c: row[c] for c in query.columns} for row in out]
-        return out
+        return project_join(query, out)
 
     def _server_joinable(self, query: JoinSelect) -> bool:
         if self.index_kind == "none":

@@ -19,6 +19,7 @@ Usage::
 from __future__ import annotations
 
 import threading
+from operator import itemgetter
 from typing import Dict, List, Optional, Tuple, Union
 
 from .. import telemetry
@@ -26,7 +27,9 @@ from ..core.order_preserving import OrderPreservingScheme
 from ..core.scheme import ShareRow, TableSharing
 from ..core.secrets import ClientSecrets, generate_client_secrets
 from ..errors import (
+    IntegrityError,
     QueryError,
+    QuorumError,
     SchemaError,
     UnsupportedQueryError,
 )
@@ -34,8 +37,7 @@ from ..providers.cluster import ProviderCluster
 from ..sim.costmodel import CostRecorder
 from ..sim.rng import DeterministicRNG
 from ..sqlengine.catalog import Catalog
-from ..sqlengine.executor import compute_aggregate
-from ..sqlengine.expression import Predicate
+from ..sqlengine.expression import Predicate, TruePredicate
 from ..sqlengine.query import (
     Aggregate,
     AggregateFunc,
@@ -49,13 +51,26 @@ from ..sqlengine.query import (
 from ..sqlengine.schema import ColumnType, TableSchema
 from ..sqlengine.sqlparser import parse_sql
 from ..sqlengine.table import Table
+from .pipeline import (
+    ReadPlan,
+    aggregate_rows,
+    check_join_columns,
+    empty_result,
+    explain_strategy,
+    finish_rows,
+    hash_join,
+    join_row,
+    order_rows,
+    plan_select,
+    project_join,
+)
 from .reconstruct import (
+    align_by_row_id,
     consistent_scalar,
+    reconstruct_checked,
     reconstruct_rows,
-    reconstruct_rows_checked,
     reconstruct_single_rows,
     rows_from_responses,
-    align_by_row_id,
 )
 from .rewriter import (
     RewrittenPredicate,
@@ -65,6 +80,12 @@ from .rewriter import (
 from .rowcache import RowCache
 
 Row = Dict[str, object]
+
+#: Read policies — how a read picks its providers and decodes their
+#: shares (see :meth:`DataSource._read`).  ``select`` and ``join`` read
+#: PLAIN, or CHECKED under ``verified_reads``; ``select_robust`` reads
+#: ROBUST; ``select_verified`` reads AUDITED.
+PLAIN, CHECKED, ROBUST, AUDITED = "plain", "checked", "robust", "audited"
 
 #: RPC methods that mutate provider row state.  ``DataSource._broadcast``
 #: refuses these unless the call came through :meth:`DataSource._mutate`
@@ -621,8 +642,6 @@ class DataSource:
                 "share addition would corrupt its deterministic shares — "
                 "use update() instead"
             )
-        from ..sqlengine.schema import ColumnType
-
         if column_schema.ctype is not ColumnType.INTEGER:
             raise QueryError(
                 f"increment() supports INTEGER columns; {column} is "
@@ -637,15 +656,7 @@ class DataSource:
                 "increment() requires a fully provider-pushable predicate; "
                 "this one needs client-side filtering — use update()"
             )
-        # fetch matching row ids only (empty projection: no share payload)
-        responses = self._select_rpc(table_name, rewritten, projection=[])
-        from .reconstruct import align_by_row_id, rows_from_responses
-
-        aligned = align_by_row_id(rows_from_responses(responses))
-        row_ids = [
-            rid for rid, per_provider in aligned.items()
-            if len(per_provider) >= self.threshold
-        ]
+        row_ids = self._fetch_row_ids(sharing, rewritten)
         if not row_ids:
             return 0
         delta_shares = self.prepare_increment_shares(
@@ -706,8 +717,6 @@ class DataSource:
         )
         counts = {response["incremented"] for response in responses.values()}
         if len(counts) != 1:
-            from ..errors import IntegrityError
-
             raise IntegrityError(
                 f"providers disagree on incremented row count: {sorted(counts)}"
             )
@@ -752,19 +761,9 @@ class DataSource:
         ]
         if not random_columns:
             return 0
-        responses = self._broadcast(
-            "select",
-            lambda i: {"table": table_name, "conditions": [], "projection": []},
-            minimum=self.threshold,
-            provider_indexes=self.cluster.read_quorum(),
-            quorum="first_k",
-            failover=self.failover,
+        row_ids = self._fetch_row_ids(
+            sharing, rewrite_predicate(TruePredicate(), sharing)
         )
-        aligned = align_by_row_id(rows_from_responses(responses))
-        row_ids = [
-            rid for rid, per_provider in aligned.items()
-            if len(per_provider) >= self.threshold
-        ]
         if not row_ids:
             return 0
         increments_per_provider: List[List] = [
@@ -804,28 +803,33 @@ class DataSource:
         regenerated together because mixing polynomial generations across
         providers breaks reconstruction.  Returns the row count.
         """
-        sharing = self.sharing(table_name)
-        quorum = self.cluster.read_quorum()
-        responses = self._broadcast(
-            "scan",
-            lambda i: {"table": table_name, "projection": None},
-            minimum=self.threshold,
-            provider_indexes=quorum,
-            quorum="first_k",
-            failover=self.failover,
-        )
-        from .reconstruct import align_by_row_id, rows_from_responses
+        return self._reshare_table(table_name, self._scan(table_name))
 
-        aligned = align_by_row_id(rows_from_responses(responses))
-        plaintext: List[Tuple[int, Row]] = []
-        for row_id, share_rows in aligned.items():
-            if len(share_rows) < self.threshold:
-                continue
-            plaintext.append((row_id, sharing.reconstruct_row(share_rows)))
-            self.cost.record("interpolate", len(sharing.schema.columns))
+    def _scan(
+        self, table_name: str, as_of_epoch: Optional[int] = None
+    ) -> List[Tuple[int, Row]]:
+        """Every row of a table as ``(row_id, row)`` through a plain read:
+        the whole-table read behind resync, secret rotation and time
+        travel (as of ``as_of_epoch`` when given)."""
+        sharing = self.sharing(table_name)
+        if as_of_epoch is None:
+            method, request = "scan", {"table": table_name, "projection": None}
+        else:
+            method, request = "scan_asof", {"table": table_name, "epoch": as_of_epoch}
+
+        def decode(responses: Dict[int, Dict]):
+            pairs: List[Tuple[int, Row]] = []
+            reconstruct_rows(sharing, responses, cost=self.cost, emitted=pairs)
+            return pairs, ()
+
+        return self._read(method, lambda i: request, [], PLAIN, table_name, decode)
+
+    def _reshare_table(self, table_name: str, rows: List[Tuple[int, Row]]) -> int:
+        """Drop and recreate a table at every live provider, then upload
+        fresh shares of ``rows`` under the current secrets."""
+        sharing = self.sharing(table_name)
         targets = self.cluster.write_targets()
         searchable = [c.name for c in sharing.schema.columns if c.searchable]
-        # drop (where present) and recreate at every live provider
         for index in targets:
             provider = self.cluster.providers[index]
             if provider.store.has_table(self.physical_name(table_name)):
@@ -839,9 +843,7 @@ class DataSource:
                     "searchable": searchable,
                 },
             )
-        prepared = [
-            (row_id, sharing.share_row(row)) for row_id, row in plaintext
-        ]
+        prepared = [(row_id, sharing.share_row(row)) for row_id, row in rows]
         self.cost.record(
             "poly_eval",
             len(prepared) * len(sharing.schema.columns) * self.cluster.n_providers,
@@ -889,7 +891,7 @@ class DataSource:
             quorum="first_k",
             failover=self.failover,
         )
-        return align_by_row_id(rows_from_responses(responses))
+        return _aligned(responses)
 
     def create_staging_table(self, table_name: str, staging: str) -> None:
         """Create an empty staging copy of a table's layout at every live
@@ -986,212 +988,146 @@ class DataSource:
     ) -> List[Tuple[int, Row]]:
         """Row ids + plaintext of rows matching a write query's predicate."""
         sharing = self.sharing(query.table)
-        predicate = query.where.bind(sharing.schema)
-        rewritten = self._rewrite(predicate, sharing)
+        rewritten = self._rewrite(query.where.bind(sharing.schema), sharing)
         if rewritten.provably_empty:
             return []
-        responses = self._select_rpc(query.table, rewritten, projection=None)
-        aligned = align_by_row_id(rows_from_responses(responses))
-        matches: List[Tuple[int, Row]] = []
-        for row_id, share_rows in aligned.items():
-            if len(share_rows) < self.threshold:
-                continue
-            row = sharing.reconstruct_row(share_rows)
-            self.cost.record("interpolate", len(row))
-            if rewritten.residual.matches(row):
-                matches.append((row_id, row))
-        return matches
+        return self._fetch(sharing, rewritten)
 
     # ---------------------------------------------------------------- reads --
+    #
+    # Every read runs plan → fetch → finish.  ``plan_select`` validates the
+    # query and decides once how it executes; ``_fetch`` returns the
+    # matching (row_id, row) pairs under a read policy (PLAIN, CHECKED,
+    # ROBUST or AUDITED); the pipeline's finish step sorts, limits,
+    # projects, aggregates and joins at the client.
 
     def select(self, query: Select) -> Union[List[Row], object]:
         """Execute a SELECT (projection, aggregate, grouped, or top-k)."""
         with telemetry.span("select", table=query.table) as sp:
-            result = self._select(query)
+            result = self._run_select(
+                query, CHECKED if self.verified_reads else PLAIN
+            )
             if telemetry.is_enabled() and isinstance(result, list):
                 sp.set(rows_returned=len(result))
                 telemetry.count("query.rows_returned", len(result))
             return result
 
-    def _select(self, query: Select) -> Union[List[Row], object]:
+    def _plan(
+        self, query: Select, pushdown: bool
+    ) -> Tuple[TableSharing, Predicate, ReadPlan]:
         sharing = self.sharing(query.table)
         predicate = query.where.bind(sharing.schema)
-        rewritten = self._rewrite(predicate, sharing)
-        if self.verified_reads:
-            return self._select_checked(sharing, query, rewritten)
-        if query.is_grouped:
-            return self._select_grouped(sharing, query, rewritten)
-        if query.is_aggregate:
-            return self._select_aggregate(sharing, query, rewritten)
-        if rewritten.provably_empty:
-            return []
-        for name in query.columns:
-            sharing.schema.column(name)
-        order_column = None
-        if query.order_by is not None:
-            order_column = sharing.schema.column(query.order_by)
-        # LIMIT can be pushed to the providers only when the client will
-        # not filter afterwards (a residual could strip pushed-down rows
-        # below the requested count)
-        push_limit = query.limit if not rewritten.has_residual else None
-        push_order = (
-            query.order_by
-            if query.order_by is not None and sharing.is_searchable(query.order_by)
-            else None
+        plan = plan_select(
+            sharing, query, self._rewrite(predicate, sharing), pushdown
         )
-        if push_order is None and query.order_by is not None:
-            push_limit = None  # cannot truncate before the client can sort
-        # query-level replay: an identical SELECT in the same epoch serves
-        # the full rows straight from the row cache — zero provider RPCs.
-        # The signature covers everything that determines the *row set*
-        # (predicate + pushed-down order/limit); client-side sort, limit,
-        # and projection run identically on replayed rows below.
-        epoch = self.table_epoch(query.table)
-        signature = (
-            "select",
-            repr(predicate),
-            push_order,
-            query.descending if push_order is not None else False,
-            push_limit,
-        )
-        rows = self.row_cache.lookup_query(query.table, signature, epoch)
-        if rows is None:
-            responses = self._select_rpc(
-                query.table,
-                rewritten,
-                projection=None,
-                order_by=push_order,
-                descending=query.descending,
-                limit=push_limit,
+        return sharing, predicate, plan
+
+    def _run_select(self, query: Select, policy: str) -> Union[List[Row], object]:
+        """Plan, fetch and finish one SELECT under a read policy."""
+        sharing, predicate, plan = self._plan(query, pushdown=policy == PLAIN)
+        if plan.method is None:
+            return empty_result(query)
+        if plan.method != "select":
+            return self._aggregate_at_providers(sharing, query, plan)
+        if query.is_aggregate or policy != PLAIN:
+            rows = [row for _, row in self._fetch(sharing, plan.rewritten, policy)]
+        else:
+            # query-level replay: an identical SELECT in the same epoch
+            # serves the full rows straight from the row cache — zero
+            # provider RPCs.  The signature covers everything that
+            # determines the *row set* (predicate + pushed-down
+            # order/limit); the finish step runs identically on replays.
+            epoch = self.table_epoch(query.table)
+            signature = (
+                "select",
+                repr(predicate),
+                plan.push_order,
+                query.descending if plan.push_order is not None else False,
+                plan.push_limit,
             )
-            emitted: List[Tuple[int, Row]] = []
-            rows = reconstruct_rows(
-                sharing,
-                responses,
-                residual=rewritten.residual,
-                cost=self.cost,
-                row_cache=self.row_cache,
-                cache_epoch=epoch,
-                emitted=emitted,
-            )
-            self.row_cache.store_query(query.table, signature, epoch, emitted)
-        if query.order_by is not None:
-            from ..sqlengine.schema import python_value_sort_key
-
-            rows.sort(
-                key=lambda r: python_value_sort_key(
-                    order_column, r.get(query.order_by)
-                ),
-                reverse=query.descending,
-            )
-        if query.limit is not None:
-            rows = rows[: query.limit]
-        if query.columns:
-            rows = [{name: row[name] for name in query.columns} for row in rows]
-        return rows
-
-    def _select_grouped(
-        self,
-        sharing: TableSharing,
-        query: Select,
-        rewritten: RewrittenPredicate,
-    ) -> List[Row]:
-        """GROUP BY aggregation (extension: provider-side grouped partials).
-
-        Providers group by the deterministic share of the group column and
-        return per-group partials in plaintext group order, so the quorum's
-        group lists align positionally; the client reconstructs each group
-        key from its shares and combines partials exactly like the
-        ungrouped path.
-        """
-        from ..sqlengine.executor import compute_group_aggregate
-
-        aggregate = query.aggregate
-        group_column = query.group_by
-        sharing.schema.column(group_column)
-        column = aggregate.column
-        if column is not None and aggregate.func in (
-            AggregateFunc.SUM, AggregateFunc.AVG,
-        ):
-            if not sharing.schema.column(column).is_numeric():
-                raise QueryError(
-                    f"{aggregate.func.value.upper()}({column}) requires a "
-                    "numeric column"
+            rows = self.row_cache.lookup_query(query.table, signature, epoch)
+            if rows is None:
+                pairs = self._fetch(
+                    sharing,
+                    plan.rewritten,
+                    order_by=plan.push_order,
+                    descending=query.descending,
+                    limit=plan.push_limit,
+                    cache_epoch=epoch,
                 )
-        if rewritten.provably_empty:
-            return []
-        order_based = aggregate.func in (
-            AggregateFunc.MIN, AggregateFunc.MAX, AggregateFunc.MEDIAN,
-        )
-        can_push = (
-            not rewritten.has_residual
-            and sharing.is_searchable(group_column)
-            and (not order_based or sharing.is_searchable(column))
-        )
-        if not can_push:
-            responses = self._select_rpc(query.table, rewritten, projection=None)
-            rows = reconstruct_rows(
-                sharing, responses, residual=rewritten.residual, cost=self.cost
-            )
-            return compute_group_aggregate(aggregate, group_column, rows)
-        quorum = self.cluster.read_quorum()
-        self._record_rewrite_cost(rewritten, len(quorum))
-        func_name = (
-            "sum" if aggregate.func is AggregateFunc.AVG else aggregate.func.value
-        )
-        responses = self._broadcast(
-            "aggregate_group",
-            lambda i: {
-                "table": query.table,
-                "conditions": rewritten.conditions_for(sharing, i),
-                "group_column": group_column,
-                "func": func_name,
-                "column": column,
-            },
-            minimum=self.threshold,
-            provider_indexes=quorum,
-            quorum="first_k",
-            failover=self.failover,
-        )
-        lengths = {len(response["groups"]) for response in responses.values()}
-        if len(lengths) != 1:
-            from ..errors import IntegrityError
+                self.row_cache.store_query(query.table, signature, epoch, pairs)
+                rows = [row for _, row in pairs]
+        if query.is_aggregate:
+            return aggregate_rows(query, rows)
+        return finish_rows(sharing.schema, query, rows)
 
-            raise IntegrityError(
-                f"providers disagree on the number of groups: {sorted(lengths)}"
-            )
-        n_groups = lengths.pop()
-        out: List[Row] = []
-        label = aggregate.func.value
-        for position in range(n_groups):
-            group_shares = {
-                index: response["groups"][position][0]
-                for index, response in responses.items()
-            }
-            payloads = {
-                index: response["groups"][position][1]
-                for index, response in responses.items()
-            }
-            group_value = sharing.reconstruct_value(group_column, group_shares)
-            self.cost.record("interpolate", 1)
-            out.append(
-                {
-                    group_column: group_value,
-                    label: self._combine_group_payload(
-                        sharing, aggregate, column, payloads
-                    ),
+    def _aggregate_at_providers(
+        self, sharing: TableSharing, query: Select, plan: ReadPlan
+    ):
+        """Provider-side (grouped) partial aggregation, combined here.
+
+        Grouped partials come back in plaintext group order (providers
+        group by the deterministic share of the group column), so the
+        quorum's group lists align positionally; each group key is
+        reconstructed from its shares.
+        """
+        aggregate = query.aggregate
+        request = {
+            "table": query.table,
+            "func": (
+                "sum" if aggregate.func is AggregateFunc.AVG
+                else aggregate.func.value
+            ),
+            "column": aggregate.column,
+        }
+        if plan.method == "aggregate_group":
+            request["group_column"] = query.group_by
+        rewritten = plan.rewritten
+
+        def build(i: int) -> Dict:
+            return dict(request, conditions=rewritten.conditions_for(sharing, i))
+
+        def decode(responses: Dict[int, Dict]):
+            if plan.method == "aggregate":
+                return self._combine_partials(sharing, aggregate, responses), ()
+            lengths = {len(response["groups"]) for response in responses.values()}
+            if len(lengths) != 1:
+                raise IntegrityError(
+                    f"providers disagree on the number of groups: {sorted(lengths)}"
+                )
+            out: List[Row] = []
+            for position in range(lengths.pop()):
+                group_shares = {
+                    index: response["groups"][position][0]
+                    for index, response in responses.items()
                 }
-            )
-        return out
+                payloads = {
+                    index: response["groups"][position][1]
+                    for index, response in responses.items()
+                }
+                key = sharing.reconstruct_value(query.group_by, group_shares)
+                self.cost.record("interpolate", 1)
+                out.append(
+                    {
+                        query.group_by: key,
+                        aggregate.func.value: self._combine_partials(
+                            sharing, aggregate, payloads
+                        ),
+                    }
+                )
+            return out, ()
 
-    def _combine_group_payload(
+        return self._read(plan.method, build, [rewritten], PLAIN, query.table, decode)
+
+    def _combine_partials(
         self,
         sharing: TableSharing,
         aggregate: Aggregate,
-        column: Optional[str],
         payloads: Dict[int, Dict],
     ):
+        """One aggregate value from the quorum's per-provider partials."""
         func = aggregate.func
+        column = aggregate.column
         if func is AggregateFunc.COUNT:
             return consistent_scalar(payloads, "count")
         if func in (AggregateFunc.SUM, AggregateFunc.AVG):
@@ -1205,6 +1141,7 @@ class DataSource:
             self.cost.record("interpolate", 1)
             total = sharing.combine_sum(column, partials, count)
             return total if func is AggregateFunc.SUM else total / count
+        # MIN / MAX / MEDIAN: providers nominate the same row by share order
         row = reconstruct_single_rows(sharing, payloads, cost=self.cost)
         return None if row is None else row[column]
 
@@ -1216,24 +1153,15 @@ class DataSource:
         """
         if query.is_aggregate:
             raise QueryError("select_with_ids does not support aggregates")
-        sharing = self.sharing(query.table)
-        predicate = query.where.bind(sharing.schema)
-        rewritten = self._rewrite(predicate, sharing)
-        if rewritten.provably_empty:
-            return []
-        responses = self._select_rpc(query.table, rewritten, projection=None)
-        aligned = align_by_row_id(rows_from_responses(responses))
-        out: List[Tuple[int, Row]] = []
-        for row_id, share_rows in aligned.items():
-            if len(share_rows) < self.threshold:
-                continue
-            row = sharing.reconstruct_row(share_rows)
-            self.cost.record("interpolate", len(row))
-            if rewritten.residual.matches(row):
-                if query.columns:
-                    row = {name: row[name] for name in query.columns}
-                out.append((row_id, row))
-        return out
+        sharing, _, plan = self._plan(query, pushdown=False)
+        pairs = self._fetch(sharing, plan.rewritten) if plan.method else []
+        pairs = order_rows(sharing.schema, query, pairs, row_of=itemgetter(1))
+        if query.columns:
+            pairs = [
+                (row_id, {name: row[name] for name in query.columns})
+                for row_id, row in pairs
+            ]
+        return pairs
 
     def select_robust(self, query: Select) -> List[Row]:
         """SELECT that *tolerates* a minority of tampering providers.
@@ -1255,57 +1183,172 @@ class DataSource:
                 "would need verifiable partials — use select_verified on "
                 "the underlying rows instead"
             )
-        sharing = self.sharing(query.table)
-        predicate = query.where.bind(sharing.schema)
-        rewritten = self._rewrite(predicate, sharing)
-        if rewritten.provably_empty:
-            return []
-        live = self.cluster.live_provider_indexes()
-        if len(live) < self.threshold:
-            from ..errors import QuorumError
+        return self._run_select(query, ROBUST)
 
-            raise QuorumError(
-                f"only {len(live)} providers live, need k={self.threshold}"
+    def _fetch(
+        self,
+        sharing: TableSharing,
+        rewritten: RewrittenPredicate,
+        policy: str = PLAIN,
+        order_by: Optional[str] = None,
+        descending: bool = False,
+        limit: Optional[int] = None,
+        cache_epoch: Optional[int] = None,
+    ) -> List[Tuple[int, Row]]:
+        """Fetch: the ``(row_id, row)`` pairs matching ``rewritten``.
+
+        ``order_by``/``limit`` ship with the request; ``cache_epoch`` lets
+        a plain read skip interpolating rows the row cache already holds
+        for that epoch.  Rows come back in row-id order.
+        """
+        extra: Dict[str, object] = {"projection": None}
+        if order_by is not None:
+            extra.update(order_by=order_by, descending=descending)
+        if limit is not None:
+            extra["limit"] = limit
+        residual = rewritten.residual
+
+        def decode(responses: Dict[int, Dict]):
+            pairs: List[Tuple[int, Row]] = []
+            if policy == CHECKED:
+                blamed: set = set()
+                aligned = {
+                    row_id: {index: (row,) for index, row in per_provider.items()}
+                    for row_id, per_provider in _aligned(responses).items()
+                }
+                for row_id, (row,) in reconstruct_checked(
+                    [sharing], aligned, set(responses), blamed
+                ):
+                    self.cost.record("interpolate", len(row))
+                    if residual.matches(row):
+                        pairs.append((row_id, row))
+                return pairs, blamed
+            if policy == ROBUST:
+                for row_id, share_rows in _aligned(responses).items():
+                    if len(share_rows) < self.threshold:
+                        continue  # injected row ids from a minority are dropped
+                    row = sharing.reconstruct_row_robust(share_rows)
+                    self.cost.record(
+                        "interpolate",
+                        len(row) * max(1, len(share_rows) - self.threshold + 1),
+                    )
+                    if residual.matches(row):
+                        pairs.append((row_id, row))
+                return pairs, ()
+            reconstruct_rows(
+                sharing,
+                responses,
+                residual=residual,
+                cost=self.cost,
+                strict=policy == AUDITED,
+                row_cache=self.row_cache,
+                cache_epoch=cache_epoch,
+                emitted=pairs,
             )
-        self._record_rewrite_cost(rewritten, len(live))
-        responses = self._broadcast(
+            return pairs, ()
+
+        return self._read(
             "select",
-            lambda i: {
-                "table": query.table,
-                "conditions": rewritten.conditions_for(sharing, i),
-                "projection": None,
-            },
-            minimum=self.threshold,
-            provider_indexes=live,
-            quorum="first_k",
-            failover=self.failover,
+            self._select_request(sharing, rewritten, extra),
+            [rewritten],
+            policy,
+            sharing.schema.name,
+            decode,
         )
-        aligned = align_by_row_id(rows_from_responses(responses))
-        rows: List[Row] = []
-        for row_id, share_rows in aligned.items():
-            if len(share_rows) < self.threshold:
-                continue  # injected row ids from a minority are dropped
-            row = sharing.reconstruct_row_robust(share_rows)
-            self.cost.record(
-                "interpolate", len(row) * max(1, len(share_rows) - self.threshold + 1)
-            )
-            if rewritten.residual.matches(row):
-                rows.append(row)
-        if query.order_by is not None:
-            from ..sqlengine.schema import python_value_sort_key
 
-            order_column = sharing.schema.column(query.order_by)
-            rows.sort(
-                key=lambda r: python_value_sort_key(
-                    order_column, r.get(query.order_by)
-                ),
-                reverse=query.descending,
+    def _fetch_row_ids(
+        self, sharing: TableSharing, rewritten: RewrittenPredicate
+    ) -> List[int]:
+        """Ids of the rows matching ``rewritten`` (no share payload)."""
+
+        def decode(responses: Dict[int, Dict]):
+            aligned = _aligned(responses)
+            return [
+                row_id for row_id, per_provider in aligned.items()
+                if len(per_provider) >= self.threshold
+            ], ()
+
+        return self._read(
+            "select",
+            self._select_request(sharing, rewritten, {"projection": []}),
+            [rewritten],
+            PLAIN,
+            sharing.schema.name,
+            decode,
+        )
+
+    @staticmethod
+    def _select_request(
+        sharing: TableSharing, rewritten: RewrittenPredicate, extra: Dict
+    ):
+        table = sharing.schema.name
+        return lambda i: {
+            "table": table,
+            "conditions": rewritten.conditions_for(sharing, i),
+            **extra,
+        }
+
+    def _read(
+        self,
+        method: str,
+        request,
+        rewrites: List[RewrittenPredicate],
+        policy: str,
+        table: str,
+        decode,
+    ):
+        """The one read fan-out: quorum for ``policy``, broadcast, decode.
+
+        * PLAIN / AUDITED — the health-ordered k-quorum, first k
+          responses; AUDITED also checks every returned share against the
+          audit registry.
+        * ROBUST — every live provider.
+        * CHECKED — k + ``read_redundancy`` shares, whole round.  Blamed
+          providers are quarantined and the read re-issues without them,
+          bounded by the cluster size; the last round's result is
+          returned regardless — robust decoding already masked the
+          minority, re-issuing is about *evicting* it.
+
+        ``decode(responses)`` returns ``(result, blamed_indexes)``; only
+        CHECKED decoding blames.
+        """
+        blamed_total: set = set()
+        for _ in range(max(1, self.cluster.n_providers)):
+            if policy == CHECKED:
+                quorum = self._verified_quorum(blamed_total)
+            elif policy == ROBUST:
+                quorum = self.cluster.live_provider_indexes()
+                if len(quorum) < self.threshold:
+                    raise QuorumError(
+                        f"only {len(quorum)} providers live, need k={self.threshold}"
+                    )
+            else:
+                quorum = self.cluster.read_quorum()
+            for rewritten in rewrites:
+                self._record_rewrite_cost(rewritten, len(quorum))
+            responses = self._broadcast(
+                method,
+                request,
+                minimum=self.threshold,
+                provider_indexes=quorum,
+                quorum="all" if policy == CHECKED else "first_k",
+                failover=self.failover,
             )
-        if query.limit is not None:
-            rows = rows[: query.limit]
-        if query.columns:
-            rows = [{name: row[name] for name in query.columns} for row in rows]
-        return rows
+            if policy == AUDITED:
+                self.audit.verify_responses(table, responses)
+            result, blamed = decode(responses)
+            if not blamed:
+                return result
+            self._quarantine_blamed(blamed)
+            blamed_total.update(blamed)
+            telemetry.count("verified.reissued", table=table)
+        return result
+
+    def _record_rewrite_cost(
+        self, rewritten: RewrittenPredicate, n_targets: int
+    ) -> None:
+        # two share evaluations (low & high endpoint) per interval per target
+        self.cost.record("poly_eval", 2 * len(rewritten.intervals) * n_targets)
 
     # --------------------------------------------------------- time travel --
 
@@ -1319,26 +1362,10 @@ class DataSource:
         Raises :class:`QueryError` when the epoch predates the providers'
         retention horizon.
         """
-        sharing = self.sharing(table_name)
+        self.sharing(table_name)
         if as_of_epoch < 0:
             raise QueryError(f"as_of_epoch must be >= 0, got {as_of_epoch}")
-        responses = self._broadcast(
-            "scan_asof",
-            lambda i: {"table": table_name, "epoch": as_of_epoch},
-            minimum=self.threshold,
-            provider_indexes=self.cluster.read_quorum(),
-            quorum="first_k",
-            failover=self.failover,
-        )
-        aligned = align_by_row_id(rows_from_responses(responses))
-        out: List[Tuple[int, Row]] = []
-        for row_id in sorted(aligned):
-            share_rows = aligned[row_id]
-            if len(share_rows) < self.threshold:
-                continue
-            out.append((row_id, sharing.reconstruct_row(share_rows)))
-            self.cost.record("interpolate", len(sharing.schema.columns))
-        return out
+        return self._scan(table_name, as_of_epoch)
 
     def select_asof(
         self, query: Select, as_of_epoch: int
@@ -1376,23 +1403,7 @@ class DataSource:
         from ..core.secrets import generate_client_secrets
 
         # 1. read everything out under the old secrets
-        snapshots: Dict[str, List[Tuple[int, Row]]] = {}
-        for name in self.table_names():
-            sharing = self.sharing(name)
-            quorum = self.cluster.read_quorum()
-            responses = self._broadcast(
-                "scan",
-                lambda i: {"table": name, "projection": None},
-                minimum=self.threshold,
-                provider_indexes=quorum,
-                quorum="first_k",
-            )
-            aligned = align_by_row_id(rows_from_responses(responses))
-            snapshots[name] = [
-                (rid, sharing.reconstruct_row(share_rows))
-                for rid, share_rows in aligned.items()
-                if len(share_rows) >= self.threshold
-            ]
+        snapshots = {name: self._scan(name) for name in self.table_names()}
         # 2. swap in fresh secrets and rebuild the sharing machinery.
         # Every kernel cache is keyed on the old evaluation points and every
         # cached plaintext row was reconstructed under the old secrets —
@@ -1414,51 +1425,13 @@ class DataSource:
                 old.schema, self.secrets, self.threshold, self._rng,
                 self._op_registry,
             )
-        # 3. re-share every table at every live provider
+        # 3. re-share every table at every live provider.  Rotation
+        # rebuilds the sharing machinery, so any cached plan's share-space
+        # conditions are garbage — the epoch bump is what keeps a plan
+        # cache correct across re-keying
         counts: Dict[str, int] = {}
-        targets = self.cluster.write_targets()
         for name, rows in snapshots.items():
-            sharing = self._sharings[name]
-            searchable = [c.name for c in sharing.schema.columns if c.searchable]
-            for index in targets:
-                provider = self.cluster.providers[index]
-                if provider.store.has_table(self.physical_name(name)):
-                    self._call_one(index, "drop_table", {"table": name})
-                self._call_one(
-                    index,
-                    "create_table",
-                    {
-                        "table": name,
-                        "columns": sharing.schema.column_names,
-                        "searchable": searchable,
-                    },
-                )
-            prepared = [(rid, sharing.share_row(row)) for rid, row in rows]
-            self.cost.record(
-                "poly_eval",
-                len(prepared)
-                * len(sharing.schema.columns)
-                * self.cluster.n_providers,
-            )
-            if prepared:
-                self._mutate(
-                    name,
-                    "insert_many",
-                    lambda i: {
-                        "table": name,
-                        "rows": [[rid, shares[i]] for rid, shares in prepared],
-                    },
-                    provider_indexes=targets,
-                )
-            if self.audit is not None:
-                self.audit.on_resync(name)
-                for rid, shares in prepared:
-                    for index in targets:
-                        self.audit.on_insert(name, index, rid, shares[index])
-            counts[name] = len(prepared)
-            # rotation rebuilds the sharing machinery, so any cached plan's
-            # share-space conditions are garbage — the epoch bump is what
-            # keeps a plan cache correct across re-keying
+            counts[name] = self._reshare_table(name, rows)
             self.bump_table_epoch(name)
         return counts
 
@@ -1480,21 +1453,7 @@ class DataSource:
                 "verified aggregates are not supported; verify the "
                 "underlying rows with a projection query instead"
             )
-        sharing = self.sharing(query.table)
-        predicate = query.where.bind(sharing.schema)
-        rewritten = self._rewrite(predicate, sharing)
-        if rewritten.provably_empty:
-            return []
-        responses = self._select_rpc(query.table, rewritten, projection=None)
-        self.audit.verify_responses(query.table, responses)
-        return reconstruct_rows(
-            sharing,
-            responses,
-            residual=rewritten.residual,
-            columns=list(query.columns) if query.columns else None,
-            cost=self.cost,
-            strict=True,
-        )
+        return self._run_select(query, AUDITED)
 
     # ------------------------------------------------------- verified reads --
 
@@ -1535,332 +1494,6 @@ class DataSource:
         for index in blamed:
             self.cluster.health.quarantine(index, reason="blamed")
 
-    def _select_checked(
-        self,
-        sharing: TableSharing,
-        query: Select,
-        rewritten: RewrittenPredicate,
-    ) -> Union[List[Row], object]:
-        """The verified-read SELECT path (``verified_reads=True``).
-
-        Fetches the matching rows with redundant shares and checked
-        reconstruction (:func:`reconstruct_rows_checked`), then computes
-        aggregates/grouping **client-side** from the verified rows —
-        provider-computed partials cannot carry blame, verified rows can.
-        The price is fetching rows an honest provider would have
-        pre-aggregated; the benchmark quantifies it.
-        """
-        if rewritten.provably_empty:
-            if query.is_aggregate and not query.is_grouped:
-                return compute_aggregate(query.aggregate, [])
-            return []
-        rows = self._fetch_rows_checked(query.table, sharing, rewritten)
-        if query.is_grouped:
-            from ..sqlengine.executor import compute_group_aggregate
-
-            sharing.schema.column(query.group_by)
-            return compute_group_aggregate(
-                query.aggregate, query.group_by, rows
-            )
-        if query.is_aggregate:
-            return compute_aggregate(query.aggregate, rows)
-        for name in query.columns:
-            sharing.schema.column(name)
-        if query.order_by is not None:
-            from ..sqlengine.schema import python_value_sort_key
-
-            order_column = sharing.schema.column(query.order_by)
-            rows.sort(
-                key=lambda r: python_value_sort_key(
-                    order_column, r.get(query.order_by)
-                ),
-                reverse=query.descending,
-            )
-        if query.limit is not None:
-            rows = rows[: query.limit]
-        if query.columns:
-            rows = [{name: row[name] for name in query.columns} for row in rows]
-        return rows
-
-    def _fetch_rows_checked(
-        self,
-        table_name: str,
-        sharing: TableSharing,
-        rewritten: RewrittenPredicate,
-    ) -> List[Row]:
-        """Fetch matching rows with cross-checking, blame, and re-issue.
-
-        Each round requests k + redundancy shares from the health-ordered
-        quorum and waits for the full round (``quorum="all"`` — every
-        response participates in the cross-check).  Blamed providers are
-        quarantined and the query re-issues without them; the loop is
-        bounded by the cluster size, and the last round's rows are
-        returned regardless — robust decoding already masked the
-        minority, re-issuing is about *evicting* it.
-        """
-        blamed_total: set = set()
-        rows: List[Row] = []
-        for round_number in range(max(1, self.cluster.n_providers)):
-            quorum = self._verified_quorum(blamed_total)
-            self._record_rewrite_cost(rewritten, len(quorum))
-            responses = self._broadcast(
-                "select",
-                lambda i: {
-                    "table": table_name,
-                    "conditions": rewritten.conditions_for(sharing, i),
-                    "projection": None,
-                },
-                minimum=self.threshold,
-                provider_indexes=quorum,
-                quorum="all",
-                failover=self.failover,
-            )
-            rows, blamed = reconstruct_rows_checked(
-                sharing,
-                responses,
-                residual=rewritten.residual,
-                cost=self.cost,
-            )
-            if not blamed:
-                return rows
-            self._quarantine_blamed(blamed)
-            blamed_total.update(blamed)
-            telemetry.count("verified.reissued", table=table_name)
-        return rows
-
-    def _join_checked(
-        self,
-        query: JoinSelect,
-        left: TableSharing,
-        right: TableSharing,
-        left_rw: RewrittenPredicate,
-        right_rw: RewrittenPredicate,
-        residual: Predicate,
-    ) -> List[Row]:
-        """Verified provider-side join: checked pair reconstruction."""
-        blamed_total: set = set()
-        results: List[Row] = []
-        for round_number in range(max(1, self.cluster.n_providers)):
-            quorum = self._verified_quorum(blamed_total)
-            self._record_rewrite_cost(left_rw, len(quorum))
-            self._record_rewrite_cost(right_rw, len(quorum))
-            responses = self._broadcast(
-                "join",
-                lambda i: {
-                    "left": query.left_table,
-                    "right": query.right_table,
-                    "left_column": query.left_column,
-                    "right_column": query.right_column,
-                    "left_conditions": left_rw.conditions_for(left, i),
-                    "right_conditions": right_rw.conditions_for(right, i),
-                    "projection_left": None,
-                    "projection_right": None,
-                },
-                minimum=self.threshold,
-                provider_indexes=quorum,
-                quorum="all",
-                failover=self.failover,
-            )
-            results, blamed = self._check_join_responses(
-                query, left, right, residual, responses
-            )
-            if not blamed:
-                return results
-            self._quarantine_blamed(blamed)
-            blamed_total.update(blamed)
-            telemetry.count("verified.reissued", table=query.left_table)
-        return results
-
-    def _check_join_responses(
-        self,
-        query: JoinSelect,
-        left: TableSharing,
-        right: TableSharing,
-        residual: Predicate,
-        responses: Dict[int, Dict],
-    ) -> Tuple[List[Row], List[int]]:
-        """Cross-check joined pairs; returns ``(rows, blamed_indexes)``.
-
-        Pair presence follows the same strict-majority rule as row
-        presence in :func:`reconstruct_rows_checked`; each side of every
-        surviving pair is decoded with blame.
-        """
-        from ..errors import ReconstructionError
-
-        aligned: Dict[Tuple[int, int], Dict[int, Tuple[ShareRow, ShareRow]]] = {}
-        for index, response in responses.items():
-            for lid, rid, lrow, rrow in response["rows"]:
-                aligned.setdefault((lid, rid), {})[index] = (lrow, rrow)
-        responding = set(responses)
-        blamed: set = set()
-        results: List[Row] = []
-        pairs: List[Dict[int, Tuple[ShareRow, ShareRow]]] = []
-        for (lid, rid), per_provider in sorted(aligned.items()):
-            present = set(per_provider)
-            absent = responding - present
-            if absent:
-                if len(present) * 2 > len(responding):
-                    telemetry.count("faults.detected", kind="omission")
-                    blamed.update(absent)
-                elif len(present) * 2 < len(responding):
-                    telemetry.count("faults.detected", kind="fabrication")
-                    blamed.update(present)
-                    continue
-                else:
-                    raise ReconstructionError(
-                        f"join pair ({lid}, {rid}): presence tie — providers "
-                        f"{sorted(present)} returned it, {sorted(absent)} did "
-                        "not; no majority to decide"
-                    )
-            if len(per_provider) < self.threshold:
-                continue
-            pairs.append(per_provider)
-
-        def _decode_pair(per_provider) -> None:
-            left_row, left_bad = left.reconstruct_row_checked(
-                {i: pair[0] for i, pair in per_provider.items()},
-                suspects=blamed,
-            )
-            right_row, right_bad = right.reconstruct_row_checked(
-                {i: pair[1] for i, pair in per_provider.items()},
-                suspects=blamed,
-            )
-            if left_bad or right_bad:
-                telemetry.count("faults.detected", kind="tamper")
-            blamed.update(left_bad)
-            blamed.update(right_bad)
-            self.cost.record("interpolate", len(left_row) + len(right_row))
-            merged = {
-                f"{query.left_table}.{k}": v for k, v in left_row.items()
-            }
-            merged.update(
-                {f"{query.right_table}.{k}": v for k, v in right_row.items()}
-            )
-            if residual.matches(merged):
-                results.append(merged)
-
-        # ambiguous robust votes (possible at exactly k+1 shares) defer
-        # until blame from the other pairs has accumulated, then re-raise
-        # if the evidence still cannot break the tie
-        deferred = []
-        for per_provider in pairs:
-            try:
-                _decode_pair(per_provider)
-            except ReconstructionError:
-                deferred.append(per_provider)
-        for per_provider in deferred:
-            _decode_pair(per_provider)
-        return _project_qualified(results, query.columns), sorted(blamed)
-
-    def _select_aggregate(
-        self,
-        sharing: TableSharing,
-        query: Select,
-        rewritten: RewrittenPredicate,
-    ):
-        aggregate = query.aggregate
-        func = aggregate.func
-        column = aggregate.column
-        if column is not None:
-            col_schema = sharing.schema.column(column)
-            if func in (AggregateFunc.SUM, AggregateFunc.AVG):
-                if not col_schema.is_numeric():
-                    raise QueryError(
-                        f"{func.value.upper()}({column}) requires a numeric column"
-                    )
-        if rewritten.provably_empty:
-            return compute_aggregate(aggregate, [])
-        order_based = func in (
-            AggregateFunc.MIN,
-            AggregateFunc.MAX,
-            AggregateFunc.MEDIAN,
-        )
-        # provider-side partial aggregation is only possible when the full
-        # predicate was pushed down; a client-side residual forces a fetch
-        can_push = not rewritten.has_residual and (
-            not order_based or sharing.is_searchable(column)
-        )
-        if not can_push:
-            responses = self._select_rpc(query.table, rewritten, projection=None)
-            rows = reconstruct_rows(
-                sharing, responses, residual=rewritten.residual, cost=self.cost
-            )
-            return compute_aggregate(aggregate, rows)
-        quorum = self.cluster.read_quorum()
-        responses = self._broadcast(
-            "aggregate",
-            lambda i: {
-                "table": query.table,
-                "conditions": rewritten.conditions_for(sharing, i),
-                "func": func.value if func is not AggregateFunc.AVG else "sum",
-                "column": column,
-            },
-            minimum=self.threshold,
-            provider_indexes=quorum,
-            quorum="first_k",
-            failover=self.failover,
-        )
-        self._record_rewrite_cost(rewritten, len(quorum))
-        if func is AggregateFunc.COUNT:
-            return consistent_scalar(responses, "count")
-        if func in (AggregateFunc.SUM, AggregateFunc.AVG):
-            count = consistent_scalar(responses, "count")
-            if count == 0:
-                return None if func is AggregateFunc.SUM else None
-            partials = {
-                index: response["partial_sum"]
-                for index, response in responses.items()
-            }
-            self.cost.record("interpolate", 1)
-            total = sharing.combine_sum(column, partials, count)
-            if func is AggregateFunc.SUM:
-                return total
-            return total / count
-        # MIN / MAX / MEDIAN: providers nominate the same row by share order
-        row = reconstruct_single_rows(sharing, responses, cost=self.cost)
-        return None if row is None else row[column]
-
-    def _select_rpc(
-        self,
-        table_name: str,
-        rewritten: RewrittenPredicate,
-        projection: Optional[List[str]],
-        order_by: Optional[str] = None,
-        descending: bool = False,
-        limit: Optional[int] = None,
-    ) -> Dict[int, Dict]:
-        sharing = self.sharing(table_name)
-        quorum = self.cluster.read_quorum()
-        self._record_rewrite_cost(rewritten, len(quorum))
-
-        def request(i: int) -> Dict:
-            payload = {
-                "table": table_name,
-                "conditions": rewritten.conditions_for(sharing, i),
-                "projection": projection,
-            }
-            if order_by is not None:
-                payload["order_by"] = order_by
-                payload["descending"] = descending
-            if limit is not None:
-                payload["limit"] = limit
-            return payload
-
-        return self._broadcast(
-            "select",
-            request,
-            minimum=self.threshold,
-            provider_indexes=quorum,
-            quorum="first_k",
-            failover=self.failover,
-        )
-
-    def _record_rewrite_cost(
-        self, rewritten: RewrittenPredicate, n_targets: int
-    ) -> None:
-        # two share evaluations (low & high endpoint) per interval per target
-        self.cost.record("poly_eval", 2 * len(rewritten.intervals) * n_targets)
-
     # ---------------------------------------------------------------- joins --
 
     def join(self, query: JoinSelect) -> List[Row]:
@@ -1875,8 +1508,7 @@ class DataSource:
     def _join(self, query: JoinSelect) -> List[Row]:
         left = self.sharing(query.left_table)
         right = self.sharing(query.right_table)
-        left.schema.column(query.left_column)
-        right.schema.column(query.right_column)
+        check_join_columns(query, left.schema, right.schema)
         left_pred, right_pred, residual = split_join_predicate(
             query.where, query.left_table, query.right_table
         )
@@ -1884,13 +1516,7 @@ class DataSource:
         right_rw = self._rewrite(right_pred.bind(right.schema), right)
         if left_rw.provably_empty or right_rw.provably_empty:
             return []
-        compatible = (
-            left.is_searchable(query.left_column)
-            and right.is_searchable(query.right_column)
-            and left.domain_label(query.left_column)
-            == right.domain_label(query.right_column)
-        )
-        if not compatible:
+        if not _join_compatible(query, left, right):
             if not self.client_join_fallback:
                 raise UnsupportedQueryError(
                     f"join {query.left_table}.{query.left_column} = "
@@ -1899,17 +1525,14 @@ class DataSource:
                     "shares of the same domain (Sec. V-A); enable "
                     "client_join_fallback to join at the client instead"
                 )
-            return self._client_side_join(query, left_rw, right_rw, residual)
-        if self.verified_reads:
-            return self._join_checked(
-                query, left, right, left_rw, right_rw, residual
-            )
-        quorum = self.cluster.read_quorum()
-        self._record_rewrite_cost(left_rw, len(quorum))
-        self._record_rewrite_cost(right_rw, len(quorum))
-        responses = self._broadcast(
-            "join",
-            lambda i: {
+            left_rows = [row for _, row in self._fetch(left, left_rw)]
+            right_rows = [row for _, row in self._fetch(right, right_rw)]
+            self.cost.record("compare", len(left_rows) + len(right_rows))
+            return hash_join(query, left_rows, right_rows, residual)
+        policy = CHECKED if self.verified_reads else PLAIN
+
+        def request(i: int) -> Dict:
+            return {
                 "left": query.left_table,
                 "right": query.right_table,
                 "left_column": query.left_column,
@@ -1918,84 +1541,56 @@ class DataSource:
                 "right_conditions": right_rw.conditions_for(right, i),
                 "projection_left": None,
                 "projection_right": None,
-            },
-            minimum=self.threshold,
-            provider_indexes=quorum,
-            quorum="first_k",
-            failover=self.failover,
-        )
-        # align joined pairs across providers by (left_id, right_id)
-        aligned: Dict[Tuple[int, int], Dict[int, Tuple[ShareRow, ShareRow]]] = {}
-        for index, response in responses.items():
-            for lid, rid, lrow, rrow in response["rows"]:
-                aligned.setdefault((lid, rid), {})[index] = (lrow, rrow)
-        results: List[Row] = []
-        combined_residual = residual
-        for (lid, rid), per_provider in sorted(aligned.items()):
-            if len(per_provider) < self.threshold:
-                continue
-            left_row = left.reconstruct_row(
-                {i: pair[0] for i, pair in per_provider.items()}
-            )
-            right_row = right.reconstruct_row(
-                {i: pair[1] for i, pair in per_provider.items()}
-            )
-            self.cost.record(
-                "interpolate", len(left_row) + len(right_row)
-            )
-            merged = {
-                f"{query.left_table}.{k}": v for k, v in left_row.items()
             }
-            merged.update(
-                {f"{query.right_table}.{k}": v for k, v in right_row.items()}
-            )
-            if combined_residual.matches(merged):
-                results.append(merged)
-        return _project_qualified(results, query.columns)
 
-    def _client_side_join(
-        self,
-        query: JoinSelect,
-        left_rw: RewrittenPredicate,
-        right_rw: RewrittenPredicate,
-        residual: Predicate,
-    ) -> List[Row]:
-        """Fetch both sides and hash-join at the client (fallback path)."""
-        left = self.sharing(query.left_table)
-        right = self.sharing(query.right_table)
-        left_rows = reconstruct_rows(
-            left,
-            self._select_rpc(query.left_table, left_rw, None),
-            residual=left_rw.residual,
-            cost=self.cost,
-        )
-        right_rows = reconstruct_rows(
-            right,
-            self._select_rpc(query.right_table, right_rw, None),
-            residual=right_rw.residual,
-            cost=self.cost,
-        )
-        build: Dict[object, List[Row]] = {}
-        for row in right_rows:
-            key = row.get(query.right_column)
-            if key is not None:
-                build.setdefault(key, []).append(row)
-        self.cost.record("compare", len(left_rows) + len(right_rows))
-        results: List[Row] = []
-        for row in left_rows:
-            key = row.get(query.left_column)
-            if key is None:
-                continue
-            for match in build.get(key, ()):
-                merged = {
-                    f"{query.left_table}.{k}": v for k, v in row.items()
-                }
-                merged.update(
-                    {f"{query.right_table}.{k}": v for k, v in match.items()}
+        def decode(responses: Dict[int, Dict]):
+            # joined pairs align across providers by (left_id, right_id)
+            # and go through the same presence rule and decode as rows
+            aligned: Dict[Tuple[int, int], Dict[int, Tuple[ShareRow, ShareRow]]] = {}
+            for index, response in responses.items():
+                for lid, rid, lrow, rrow in response["rows"]:
+                    aligned.setdefault((lid, rid), {})[index] = (lrow, rrow)
+            aligned = dict(sorted(aligned.items()))
+            blamed: set = set()
+            if policy == CHECKED:
+                pairs = [
+                    sides for _, sides in reconstruct_checked(
+                        [left, right], aligned, set(responses), blamed
+                    )
+                ]
+            else:
+                kept = [
+                    per_provider for per_provider in aligned.values()
+                    if len(per_provider) >= self.threshold
+                ]
+                pairs = zip(
+                    *(
+                        sharing.reconstruct_rows(
+                            [
+                                {i: sides[side] for i, sides in per_provider.items()}
+                                for per_provider in kept
+                            ]
+                        )
+                        for side, sharing in enumerate((left, right))
+                    )
                 )
+            rows: List[Row] = []
+            for left_row, right_row in pairs:
+                self.cost.record("interpolate", len(left_row) + len(right_row))
+                if not (
+                    left_rw.residual.matches(left_row)
+                    and right_rw.residual.matches(right_row)
+                ):
+                    continue
+                merged = join_row(query, left_row, right_row)
                 if residual.matches(merged):
-                    results.append(merged)
-        return _project_qualified(results, query.columns)
+                    rows.append(merged)
+            return rows, blamed
+
+        rows = self._read(
+            "join", request, [left_rw, right_rw], policy, query.left_table, decode
+        )
+        return project_join(query, rows)
 
     # -------------------------------------------------------------- dispatch --
 
@@ -2027,6 +1622,7 @@ class DataSource:
         Returns a plain dict: which conjuncts push down to providers (as
         plaintext intervals), what remains as a client-side residual, the
         execution strategy, and the read quorum.  SQL text is accepted.
+        A SELECT's strategy is read off the same plan execution uses.
         """
         if isinstance(query, str):
             query = parse_sql(query)
@@ -2051,52 +1647,11 @@ class DataSource:
             "read_quorum": self.cluster.read_quorum(),
             "estimated_selectivity": _estimate_selectivity(sharing, rewritten),
         }
-        if isinstance(query, Select) and query.is_grouped:
-            order_based = query.aggregate.func in (
-                AggregateFunc.MIN, AggregateFunc.MAX, AggregateFunc.MEDIAN,
+        if isinstance(query, Select):
+            read_plan = plan_select(
+                sharing, query, rewritten, pushdown=not self.verified_reads
             )
-            pushed = (
-                not rewritten.has_residual
-                and sharing.is_searchable(query.group_by)
-                and (
-                    not order_based
-                    or sharing.is_searchable(query.aggregate.column)
-                )
-            )
-            plan["strategy"] = (
-                "provider-grouped partial aggregation"
-                if pushed
-                else "fetch matching rows, group at the client"
-            )
-        elif isinstance(query, Select) and query.is_aggregate:
-            order_based = query.aggregate.func in (
-                AggregateFunc.MIN, AggregateFunc.MAX, AggregateFunc.MEDIAN,
-            )
-            pushed = not rewritten.has_residual and (
-                not order_based or sharing.is_searchable(query.aggregate.column)
-            )
-            plan["strategy"] = (
-                "provider-side partial aggregation"
-                if pushed
-                else "fetch matching rows, aggregate at the client"
-            )
-        elif isinstance(query, Select):
-            parts = ["provider share-index filter" if rewritten.intervals
-                     else "provider full scan"]
-            if rewritten.has_residual:
-                parts.append("client residual filter")
-            if query.order_by is not None:
-                parts.append(
-                    "provider share-order sort"
-                    if sharing.is_searchable(query.order_by)
-                    else "client sort"
-                )
-            if query.limit is not None:
-                parts.append(
-                    f"limit {query.limit} "
-                    + ("at providers" if not rewritten.has_residual else "at client")
-                )
-            plan["strategy"] = " + ".join(parts)
+            plan["strategy"] = explain_strategy(query, read_plan)
         else:
             plan["strategy"] = (
                 "fetch matching rows, reconstruct, re-share changed columns"
@@ -2108,12 +1663,7 @@ class DataSource:
     def _explain_join(self, query: JoinSelect) -> Dict[str, object]:
         left = self.sharing(query.left_table)
         right = self.sharing(query.right_table)
-        compatible = (
-            left.is_searchable(query.left_column)
-            and right.is_searchable(query.right_column)
-            and left.domain_label(query.left_column)
-            == right.domain_label(query.right_column)
-        )
+        compatible = _join_compatible(query, left, right)
         if compatible:
             strategy = "provider-side hash join on deterministic shares"
         elif self.client_join_fallback:
@@ -2154,10 +1704,19 @@ def _estimate_selectivity(sharing: TableSharing, rewritten) -> float:
     return estimate
 
 
-def _project_qualified(rows: List[Row], columns: Tuple[str, ...]) -> List[Row]:
-    if not columns:
-        return rows
-    missing = [c for c in columns if rows and c not in rows[0]]
-    if missing:
-        raise QueryError(f"unknown projection columns {missing}")
-    return [{name: row[name] for name in columns} for row in rows]
+def _join_compatible(
+    query: JoinSelect, left: TableSharing, right: TableSharing
+) -> bool:
+    """Whether the join can run at the providers (Sec. V-A): both keys are
+    order-preserving shares of the same domain."""
+    return (
+        left.is_searchable(query.left_column)
+        and right.is_searchable(query.right_column)
+        and left.domain_label(query.left_column)
+        == right.domain_label(query.right_column)
+    )
+
+
+def _aligned(responses: Dict[int, Dict]) -> Dict[int, Dict[int, ShareRow]]:
+    """Row responses aligned by row id: ``{row_id: {provider: shares}}``."""
+    return align_by_row_id(rows_from_responses(responses))

@@ -16,7 +16,7 @@ the vulnerability Sec. I's third challenge describes; the trust layer
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
 from .. import telemetry
 from ..core.scheme import ShareRow, TableSharing
@@ -68,8 +68,8 @@ def reconstruct_rows(
     client already reconstructed in this epoch skip interpolation — only
     the cache-miss subset goes through the batched kernels — and fresh
     reconstructions are written back.  ``emitted``, when given, is filled
-    with the (row_id, full_row) pairs surviving the residual filter so the
-    caller can index the result set for query-level replay.  Verified
+    with the (row_id, full_row) pairs surviving the residual filter — the
+    same row objects as the result when ``columns`` is unset.  Verified
     reads (``strict=True``) never consult the cache: their purpose is to
     re-examine what the providers actually returned.
     """
@@ -119,7 +119,7 @@ def reconstruct_rows(
             if needs_residual and not residual.matches(row):
                 continue
             if emitted is not None:
-                emitted.append((row_id, dict(row)))
+                emitted.append((row_id, row))
             if columns:
                 row = {name: row[name] for name in columns}
             out.append(row)
@@ -140,103 +140,81 @@ def reconstruct_rows(
         return out
 
 
-def reconstruct_rows_checked(
-    sharing: TableSharing,
-    responses: Dict[int, Dict],
-    residual: Optional[Predicate] = None,
-    columns: Optional[List[str]] = None,
-    cost: Optional[CostRecorder] = None,
-) -> Tuple[List[Dict[str, object]], List[int]]:
-    """Reconstruct with cross-checking; returns ``(rows, blamed_indexes)``.
+def reconstruct_checked(
+    sharings: Sequence[TableSharing],
+    aligned: Dict[Hashable, Dict[int, Sequence[ShareRow]]],
+    responding: Set[int],
+    blamed: Set[int],
+) -> List[Tuple[Hashable, Tuple[Dict[str, object], ...]]]:
+    """Cross-checked decode with blame: the verified-read primitive.
 
-    The verified-read primitive: the caller fans out to **more** than k
-    providers, and every column of every row is decoded robustly with
-    blame — a provider whose share does not lie on the winning polynomial
-    (or, for order-preserving columns, does not match the deterministic
-    recomputed share) lands in the blame list.  Row-presence is checked
-    too: a provider that omits a row a strict majority returned (or
-    fabricates one a strict majority did not) is blamed.  An exact
-    presence tie raises — there is no majority to trust.
+    ``aligned`` maps a result key (a row id, or a joined ``(left_id,
+    right_id)`` pair) to each responding provider's share rows, one per
+    side in ``sharings``.  Presence is voted first: a provider that omits
+    a key a strict majority returned (or fabricates one a strict majority
+    did not) is blamed; an exact tie raises — there is no majority to
+    trust.  Every side of every surviving key is then decoded robustly,
+    blaming providers whose shares disagree with the winning value.
+    Keys whose robust vote ties (possible at exactly k+1 shares) are
+    retried once blame from the rest of the result has accumulated, and
+    re-raise if the evidence still cannot break the tie.
 
-    The caller decides policy (quarantine + re-issue); this function only
-    reports.
+    Returns ``[(key, rows)]`` in key order; ``blamed`` is updated in
+    place.  The caller decides policy (quarantine + re-issue).
     """
-    with telemetry.span("reconstruct_checked", table=sharing.schema.name) as sp:
-        provider_rows = rows_from_responses(responses)
-        aligned = align_by_row_id(provider_rows)
-        threshold = sharing.threshold
-        residual = residual or TruePredicate()
-        needs_residual = not isinstance(residual, TruePredicate)
-        responding = set(responses)
-        blamed: set = set()
-        out: List[Optional[Dict[str, object]]] = []
-        # rows whose robust vote tied with no blame evidence yet; retried
-        # below once blame has accumulated from the rest of the result set
-        deferred: List[Tuple[int, Dict[int, ShareRow]]] = []
-
-        def _emit(row: Dict[str, object], position: Optional[int] = None) -> None:
-            if cost is not None:
-                cost.record("interpolate", len(row))
-            final: Optional[Dict[str, object]] = row
-            if needs_residual and not residual.matches(row):
-                final = None
-            elif columns:
-                final = {name: row[name] for name in columns}
-            if position is None:
-                if final is not None:
-                    out.append(final)
-            else:
-                out[position] = final
-
-        for row_id, share_rows in aligned.items():
-            present = set(share_rows)
+    with telemetry.span("reconstruct_checked", table=sharings[0].schema.name) as sp:
+        threshold = sharings[0].threshold
+        kept: List[Tuple[Hashable, Dict[int, Sequence[ShareRow]]]] = []
+        for key, per_provider in aligned.items():
+            present = set(per_provider)
             absent = responding - present
             if absent:
                 if len(present) * 2 > len(responding):
-                    # majority returned the row: the absentees omitted it
+                    # majority returned the key: the absentees omitted it
                     for index in sorted(absent):
                         telemetry.count(
                             "faults.detected", kind="omission", provider=str(index)
                         )
                     blamed.update(absent)
                 elif len(present) * 2 < len(responding):
-                    # majority did not return it: the row is fabricated
+                    # majority did not return it: the key is fabricated
                     telemetry.count("faults.detected", kind="fabrication")
                     blamed.update(present)
                     continue
                 else:
                     raise ReconstructionError(
-                        f"row {row_id}: presence tie — providers "
+                        f"result {key}: presence tie — providers "
                         f"{sorted(present)} returned it, {sorted(absent)} "
                         "did not; no majority to decide"
                     )
-            if len(share_rows) < threshold:
-                continue
-            try:
+            if len(per_provider) >= threshold:
+                kept.append((key, per_provider))
+
+        def decode(per_provider) -> Tuple[Dict[str, object], ...]:
+            rows = []
+            for side, sharing in enumerate(sharings):
                 row, bad = sharing.reconstruct_row_checked(
-                    share_rows, suspects=blamed
+                    {index: parts[side] for index, parts in per_provider.items()},
+                    suspects=blamed,
                 )
+                if bad:
+                    telemetry.count("faults.detected", kind="tamper")
+                blamed.update(bad)
+                rows.append(row)
+            return tuple(rows)
+
+        out: List = [None] * len(kept)
+        deferred: List[int] = []
+        for position, (key, per_provider) in enumerate(kept):
+            try:
+                out[position] = (key, decode(per_provider))
             except ReconstructionError:
-                out.append(None)
-                deferred.append((len(out) - 1, share_rows))
-                continue
-            if bad:
-                telemetry.count("faults.detected", kind="tamper")
-            blamed.update(bad)
-            _emit(row)
-        for position, share_rows in deferred:
-            # still ambiguous with all accumulated blame → re-raises here
-            row, bad = sharing.reconstruct_row_checked(
-                share_rows, suspects=blamed
-            )
-            if bad:
-                telemetry.count("faults.detected", kind="tamper")
-            blamed.update(bad)
-            _emit(row, position)
-        if deferred:
-            out = [row for row in out if row is not None]
+                deferred.append(position)
+        for position in deferred:
+            key, per_provider = kept[position]
+            out[position] = (key, decode(per_provider))
         sp.set(rows_out=len(out), blamed=len(blamed))
-        return out, sorted(blamed)
+        return out
 
 
 def reconstruct_single_rows(

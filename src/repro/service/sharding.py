@@ -53,7 +53,15 @@ from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .. import telemetry
-from ..client.datasource import DataSource, _project_qualified
+from ..client.datasource import DataSource
+from ..client.pipeline import (
+    aggregate_rows,
+    check_join_columns,
+    empty_result,
+    finish_rows,
+    hash_join,
+    validate_select,
+)
 from ..core import kernels
 from ..client.repair import rebuild_rows_for_targets
 from ..client.rewriter import (
@@ -72,7 +80,6 @@ from ..errors import (
     UnsupportedQueryError,
 )
 from ..providers.cluster import ProviderCluster
-from ..sqlengine.executor import compute_aggregate, compute_group_aggregate
 from ..sqlengine.query import (
     Aggregate,
     AggregateFunc,
@@ -82,7 +89,7 @@ from ..sqlengine.query import (
     Select,
     Update,
 )
-from ..sqlengine.schema import TableSchema, python_value_sort_key
+from ..sqlengine.schema import TableSchema
 from ..sqlengine.sqlparser import parse_sql
 from ..sqlengine.table import Table
 from .admission import AdmissionController
@@ -890,20 +897,15 @@ class ShardRouter:
         sharing = self._sharing(query.table)
         shard_map = self.shard_map(query.table)
         rewritten = rewrite_predicate(query.where.bind(sharing.schema), sharing)
+        validate_select(sharing.schema, query)
         owners = self._read_owners(shard_map, rewritten)
         telemetry.count(
             "shard.fanout", max(len(owners), 1), table=query.table
         )
         if not owners:
-            if query.is_grouped:
-                return []
-            if query.is_aggregate:
-                return compute_aggregate(query.aggregate, [])
-            return []
+            return empty_result(query)
         if len(owners) == 1:
             return self.groups[owners[0]].source.select(query)
-        if query.is_grouped:
-            return self._grouped_multi(query, owners)
         if query.is_aggregate:
             return self._aggregate_multi(query, owners)
         return self._rows_multi(sharing, query, owners)
@@ -917,110 +919,49 @@ class ShardRouter:
         rows: List[Row] = []
         for owner in owners:
             rows.extend(self.groups[owner].source.select(shard_query))
-        if query.order_by is not None:
-            column = sharing.schema.column(query.order_by)
-            rows.sort(
-                key=lambda row: python_value_sort_key(
-                    column, row.get(query.order_by)
-                ),
-                reverse=query.descending,
-            )
-        if query.limit is not None:
-            rows = rows[: query.limit]
-        if query.columns:
-            for name in query.columns:
-                sharing.schema.column(name)
-            rows = [
-                {name: row[name] for name in query.columns} for row in rows
-            ]
-        return rows
+        return finish_rows(sharing.schema, query, rows)
 
     def _aggregate_multi(self, query: Select, owners: List[int]):
+        """Merge per-shard (grouped) aggregate partials."""
         aggregate = query.aggregate
+        group_column = query.group_by
+        sources = [self.groups[owner].source for owner in owners]
         if aggregate.func is AggregateFunc.MEDIAN:
             # a median of shard medians is not the median; fall back to
-            # fetching the matching column values and reusing the
-            # plaintext executor
+            # fetching the matching column values and aggregating here
             fetch = replace(
-                query, aggregate=None, columns=(aggregate.column,)
+                query,
+                aggregate=None,
+                group_by=None,
+                columns=tuple(
+                    c for c in (aggregate.column, group_column) if c is not None
+                ),
             )
-            rows: List[Row] = []
-            for owner in owners:
-                rows.extend(self.groups[owner].source.select(fetch))
-            return compute_aggregate(aggregate, rows)
+            rows = [row for source in sources for row in source.select(fetch)]
+            return aggregate_rows(query, rows)
         if aggregate.func is AggregateFunc.AVG:
-            pairs = []
-            for owner in owners:
-                source = self.groups[owner].source
-                shard_sum = source.select(
-                    replace(
-                        query,
-                        aggregate=Aggregate(AggregateFunc.SUM, aggregate.column),
-                    )
-                )
-                shard_count = source.select(
-                    replace(
-                        query,
-                        aggregate=Aggregate(
-                            AggregateFunc.COUNT, aggregate.column
-                        ),
-                    )
-                )
-                pairs.append((shard_sum, shard_count))
-            return merge_avg(pairs)
-        partials = [
-            self.groups[owner].source.select(query) for owner in owners
-        ]
+            sum_query = replace(
+                query, aggregate=Aggregate(AggregateFunc.SUM, aggregate.column)
+            )
+            count_query = replace(
+                query, aggregate=Aggregate(AggregateFunc.COUNT, aggregate.column)
+            )
+            pairs = [
+                (source.select(sum_query), source.select(count_query))
+                for source in sources
+            ]
+            if group_column is None:
+                return merge_avg(pairs)
+            sums, counts = zip(*pairs)
+            return merge_grouped_avg(group_column, sums, counts)
+        partials = [source.select(query) for source in sources]
+        if group_column is not None:
+            return merge_grouped(aggregate, group_column, partials)
         if aggregate.func is AggregateFunc.COUNT:
             return merge_counts(partials)
         if aggregate.func is AggregateFunc.SUM:
             return merge_sums(partials)
         return merge_extremum(partials, aggregate.func)
-
-    def _grouped_multi(self, query: Select, owners: List[int]) -> List[Row]:
-        aggregate = query.aggregate
-        group_column = query.group_by
-        if aggregate.func is AggregateFunc.MEDIAN:
-            fetch = replace(
-                query,
-                aggregate=None,
-                group_by=None,
-                columns=(aggregate.column, group_column),
-            )
-            rows: List[Row] = []
-            for owner in owners:
-                rows.extend(self.groups[owner].source.select(fetch))
-            return compute_group_aggregate(aggregate, group_column, rows)
-        if aggregate.func is AggregateFunc.AVG:
-            sums = []
-            counts = []
-            for owner in owners:
-                source = self.groups[owner].source
-                sums.append(
-                    source.select(
-                        replace(
-                            query,
-                            aggregate=Aggregate(
-                                AggregateFunc.SUM, aggregate.column
-                            ),
-                        )
-                    )
-                )
-                counts.append(
-                    source.select(
-                        replace(
-                            query,
-                            aggregate=Aggregate(
-                                AggregateFunc.COUNT, aggregate.column
-                            ),
-                        )
-                    )
-                )
-            return merge_grouped_avg(group_column, sums, counts)
-        partials = [
-            self.groups[owner].source.select(query) for owner in owners
-        ]
-        return merge_grouped(aggregate, group_column, partials)
 
     def join(self, query: JoinSelect) -> List[Row]:
         self._lock.acquire_read()
@@ -1032,6 +973,7 @@ class ShardRouter:
     def _join(self, query: JoinSelect) -> List[Row]:
         left_sharing = self._sharing(query.left_table)
         right_sharing = self._sharing(query.right_table)
+        check_join_columns(query, left_sharing.schema, right_sharing.schema)
         left_pred, right_pred, residual = split_join_predicate(
             query.where, query.left_table, query.right_table
         )
@@ -1059,30 +1001,7 @@ class ShardRouter:
         right_rows = self._select(
             Select(query.right_table, where=right_pred)
         )
-        by_key: Dict[object, List[Row]] = {}
-        for row in right_rows:
-            key = row.get(query.right_column)
-            if key is not None:
-                by_key.setdefault(key, []).append(row)
-        joined: List[Row] = []
-        for left_row in left_rows:
-            key = left_row.get(query.left_column)
-            if key is None:
-                continue
-            for right_row in by_key.get(key, ()):
-                combined = {
-                    f"{query.left_table}.{name}": value
-                    for name, value in left_row.items()
-                }
-                combined.update(
-                    {
-                        f"{query.right_table}.{name}": value
-                        for name, value in right_row.items()
-                    }
-                )
-                if residual.matches(combined):
-                    joined.append(combined)
-        return _project_qualified(joined, query.columns)
+        return hash_join(query, left_rows, right_rows, residual)
 
     # ------------------------------------------------------------- execution --
 

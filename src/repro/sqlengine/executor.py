@@ -55,10 +55,7 @@ def compute_aggregate(
     if aggregate.func is AggregateFunc.SUM:
         return sum(values)
     if aggregate.func is AggregateFunc.AVG:
-        total = sum(values)
-        if isinstance(total, Decimal):
-            return total / len(values)
-        return total / len(values)
+        return sum(values) / len(values)
     if aggregate.func is AggregateFunc.MIN:
         return min(values)
     if aggregate.func is AggregateFunc.MAX:

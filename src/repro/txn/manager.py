@@ -254,15 +254,7 @@ class TransactionManager:
         rewritten = source._rewrite(stmt.where.bind(sharing.schema), sharing)
         if rewritten.provably_empty:
             return [], 0
-        responses = source._select_rpc(stmt.table, rewritten, projection=[])
-        from ..client.reconstruct import align_by_row_id, rows_from_responses
-
-        aligned = align_by_row_id(rows_from_responses(responses))
-        row_ids = [
-            rid
-            for rid, per_provider in aligned.items()
-            if len(per_provider) >= source.threshold
-        ]
+        row_ids = source._fetch_row_ids(sharing, rewritten)
         if not row_ids:
             return [], 0
         epoch = self._next_epoch(0, stmt.table)

@@ -187,6 +187,9 @@ class TestTier1Gate:
         )
         assert "tests/integration/test_fault_matrix.py" in runs
         assert "tests/sharding/test_shard_chaos.py" in runs
+        # the verified and robust read paths the drills exercise must
+        # agree with plain reads
+        assert "tests/client/test_read_paths.py" in runs
         assert "tests/txn/test_recovery.py" in runs
         assert "bench_resilience.py --check" in runs
         assert "repro.cli repair" in runs
