@@ -252,7 +252,7 @@ def reconstruct_single_rows(
         raise ReconstructionError(
             f"aggregate row returned by only {len(share_rows)} providers"
         )
-    row = sharing.reconstruct_row(share_rows)
+    row = sharing.reconstruct_rows([share_rows])[0]
     if cost is not None:
         cost.record("interpolate", len(row))
     return row

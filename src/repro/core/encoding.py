@@ -174,16 +174,17 @@ class StringCodec(Codec[str]):
         return number
 
     def decode(self, number: int) -> str:
-        dom = self.domain()
-        if not dom.contains(number):
+        alphabet = self.alphabet
+        base = len(alphabet)
+        if not 0 <= number < base**self.width:
             raise EncodingError(
-                f"encoded value {number} outside base-{self.base} domain of "
+                f"encoded value {number} outside base-{base} domain of "
                 f"width {self.width}"
             )
         digits = []
         for _ in range(self.width):
-            number, digit = divmod(number, self.base)
-            digits.append(self.alphabet[digit])
+            number, digit = divmod(number, base)
+            digits.append(alphabet[digit])
         return "".join(reversed(digits)).rstrip(PAD_CHAR)
 
     def prefix_range(self, prefix: str) -> Tuple[int, int]:
@@ -243,9 +244,10 @@ class DecimalCodec(Codec[Decimal]):
         return number
 
     def decode(self, number: int) -> Decimal:
-        if not self.domain().contains(number):
+        factor = self._factor()
+        if not self.lo * factor <= number <= self.hi * factor:
             raise EncodingError(f"encoded value {number} outside decimal domain")
-        return Decimal(number) / self._factor()
+        return Decimal(number) / factor
 
 
 @dataclass(frozen=True)

@@ -12,8 +12,9 @@ This module amortises both, in two tiers:
 
 * **Caching** (always on) — :func:`lagrange_weights` computes the λ_i
   basis weights once per (field, point-subset) with a single Montgomery
-  batch inversion; :func:`rational_lagrange_weights` is the
-  exact-rational analogue for the order-preserving scheme;
+  batch inversion; :func:`integer_lagrange_weights` is the exact
+  analogue for the order-preserving scheme (integer numerators over a
+  common denominator, one ``divmod`` per cell);
   :class:`SplitKernel` precomputes power tables of the client's
   evaluation points.  Reconstruction of a cell becomes a k-term dot
   product, sharing a value becomes n k-term dot products.
@@ -45,9 +46,11 @@ already correct.
 
 from __future__ import annotations
 
+import math
 import os
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from operator import mul
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .. import telemetry
 from ..errors import ConfigurationError, ReconstructionError
@@ -117,7 +120,7 @@ class KernelStats:
 _STATS = KernelStats()
 
 _WEIGHTS: Dict[Tuple[int, Tuple[int, ...]], Tuple[int, ...]] = {}
-_RATIONAL_WEIGHTS: Dict[Tuple[int, ...], Tuple[Fraction, ...]] = {}
+_INTEGER_WEIGHTS: Dict[Tuple[int, ...], Tuple[Tuple[int, ...], int]] = {}
 _SPLIT_KERNELS: Dict[Tuple[Tuple[int, ...], int, Optional[int]], "SplitKernel"] = {}
 
 
@@ -141,7 +144,7 @@ def clear_kernel_caches() -> None:
     slate.
     """
     _WEIGHTS.clear()
-    _RATIONAL_WEIGHTS.clear()
+    _INTEGER_WEIGHTS.clear()
     _SPLIT_KERNELS.clear()
     _STATS.reset()
 
@@ -446,59 +449,101 @@ def batch_reconstruct(
 
 
 # ---------------------------------------------------------------------------
-# Rational Lagrange weights (order-preserving scheme, Sec. IV)
+# Integer Lagrange weights (order-preserving scheme, Sec. IV)
 # ---------------------------------------------------------------------------
 
 
-def rational_lagrange_weights(xs: Sequence[int]) -> Tuple[Fraction, ...]:
-    """Exact-rational λ_i with q(0) = Σ λ_i · q(x_i), cached per point set.
+def integer_lagrange_weights(
+    xs: Sequence[int], cells: int = 1
+) -> Tuple[Tuple[int, ...], int]:
+    """Exact λ_i as integer numerators over one common denominator.
 
     The order-preserving scheme interpolates integer polynomials *without*
-    modular reduction, so its weights are fractions; they too depend only
-    on the point subset and are reused across every cell of a query.
+    modular reduction, so its weights λ_i = Π_{j≠i} −x_j/(x_i−x_j) are
+    fractions.  Scaling them by D, the least common multiple of their
+    denominators, gives integers n_i with q(0) = (Σ n_i · q(x_i)) / D, so
+    a cell costs a k-term integer dot product and one ``divmod`` instead
+    of k ``Fraction`` products.  Built once per point set and reused by
+    every cell of every query at that set.
+
+    ``cells`` is how many cells the caller interpolates with the weights:
+    the hit/miss counters record one lookup per cell, as a per-cell
+    caller would.
     """
     key = tuple(xs)
-    cached = _RATIONAL_WEIGHTS.get(key)
-    if cached is not None:
-        _STATS.rational_hits += 1
-        return cached
-    _STATS.rational_misses += 1
-    points = _validated_points(xs, None)
-    weights: List[Fraction] = []
-    for i, xi in enumerate(points):
-        w = Fraction(1)
-        for j, xj in enumerate(points):
-            if i != j:
-                w *= Fraction(-xj, xi - xj)
-        weights.append(w)
-    frozen = tuple(weights)
-    _RATIONAL_WEIGHTS[key] = frozen
-    return frozen
+    cached = _INTEGER_WEIGHTS.get(key)
+    if cached is None:
+        _STATS.rational_misses += 1
+        cells -= 1
+        points = _validated_points(xs, None)
+        weights: List[Fraction] = []
+        for i, xi in enumerate(points):
+            w = Fraction(1)
+            for j, xj in enumerate(points):
+                if i != j:
+                    w *= Fraction(-xj, xi - xj)
+            weights.append(w)
+        denominator = math.lcm(*(w.denominator for w in weights))
+        numerators = tuple(
+            w.numerator * (denominator // w.denominator) for w in weights
+        )
+        cached = _INTEGER_WEIGHTS[key] = (numerators, denominator)
+    _STATS.rational_hits += max(cells, 0)
+    return cached
 
 
-def reconstruct_rational(xs: Sequence[int], ys: Sequence[int]) -> Fraction:
-    """q(0) over the rationals from aligned integer points/shares."""
-    weights = rational_lagrange_weights(xs)
-    total = Fraction(0)
-    for w, y in zip(weights, ys):
-        total += w * y
-    return total
+def interpolate_integers(
+    xs: Sequence[int], share_vectors: Sequence[Sequence[int]]
+) -> List[Union[int, Fraction]]:
+    """q(0) of many integer polynomials sampled at the *same* points.
+
+    ``share_vectors[r]`` holds exactly ``len(xs)`` shares of cell r,
+    aligned with ``xs``.  An integer constant term comes back as an
+    ``int``.  A non-zero remainder means the shares lie on no integer
+    polynomial — tampered or mismatched — and that cell comes back as
+    its exact :class:`Fraction`, for the caller to raise
+    :func:`non_integer_error` on in its own cell order.
+    """
+    if not share_vectors:
+        return []
+    numerators, denominator = integer_lagrange_weights(
+        xs, cells=len(share_vectors)
+    )
+    if len(numerators) == 3:
+        # k=3, the threshold of the examples and benchmarks, unrolled:
+        # ~2.5x faster than the generic dot product
+        n0, n1, n2 = numerators
+        totals = [n0 * a + n1 * b + n2 * c for a, b, c in share_vectors]
+    else:
+        totals = [sum(map(mul, numerators, ys)) for ys in share_vectors]
+    if denominator == 1:
+        return totals
+    out: List[Union[int, Fraction]] = []
+    for total in totals:
+        quotient, remainder = divmod(total, denominator)
+        out.append(Fraction(total, denominator) if remainder else quotient)
+    return out
+
+
+def non_integer_error(value: Fraction) -> ReconstructionError:
+    """The error for a cell whose interpolated constant is not an integer."""
+    return ReconstructionError(
+        f"interpolated constant term {value} is not an integer; "
+        "shares are inconsistent or tampered"
+    )
 
 
 def reconstruct_integer(xs: Sequence[int], ys: Sequence[int]) -> int:
-    """Like :func:`reconstruct_rational` but insists on an integer result.
+    """q(0) of one integer polynomial; raises unless it is an integer.
 
     Mirrors :func:`repro.core.polynomial.interpolate_integer_constant`: a
     fractional constant term is the signature of tampered or mismatched
     shares.
     """
-    value = reconstruct_rational(xs, ys)
-    if value.denominator != 1:
-        raise ReconstructionError(
-            f"interpolated constant term {value} is not an integer; "
-            "shares are inconsistent or tampered"
-        )
-    return int(value)
+    (value,) = interpolate_integers(xs, [ys])
+    if isinstance(value, Fraction):
+        raise non_integer_error(value)
+    return value
 
 
 # ---------------------------------------------------------------------------

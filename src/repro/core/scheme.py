@@ -16,12 +16,19 @@ It owns encoding (via each column's codec), splitting a plaintext row into
 
 from __future__ import annotations
 
+from fractions import Fraction
+from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import QueryError, ReconstructionError, UnsupportedQueryError
 from ..sim.rng import DeterministicRNG
 from ..sqlengine.schema import Column, TableSchema
-from .kernels import batch_reconstruct, reconstruct_integer
+from .kernels import (
+    batch_reconstruct,
+    interpolate_integers,
+    non_integer_error,
+    reconstruct_integer,
+)
 from .order_preserving import OrderPreservingScheme
 from .secrets import ClientSecrets
 from .shamir import ShamirScheme
@@ -327,83 +334,115 @@ class TableSharing:
         self, share_rows: Dict[int, ShareRow], columns: Optional[List[str]] = None
     ) -> Dict[str, object]:
         """Plaintext row from per-provider share rows (≥ k of them)."""
-        if len(share_rows) < self.threshold:
-            raise ReconstructionError(
-                f"need shares from at least k={self.threshold} providers, "
-                f"got {len(share_rows)}"
-            )
-        names = columns if columns is not None else self.schema.column_names
-        out: Dict[str, object] = {}
-        for column in names:
-            out[column] = self.reconstruct_value(
-                column,
-                {index: row.get(column) for index, row in share_rows.items()},
-            )
-        return out
+        return self.reconstruct_rows([share_rows], columns)[0]
 
     def reconstruct_rows(
         self,
         share_rows_list: Sequence[Dict[int, ShareRow]],
         columns: Optional[List[str]] = None,
     ) -> List[Dict[str, object]]:
-        """Batched :meth:`reconstruct_row` over a whole result set.
+        """Plaintext rows from per-provider share rows (≥ k per row).
 
-        Column-major kernel path: each column's cells are grouped by the
-        responding provider subset, so the Lagrange weights (modular for
-        random columns, rational for order-preserving ones) are looked up
-        once per subset shape and every cell is a k-term dot product.
-        Semantics — NULL handling, quorum checks, error messages — are
-        identical to calling :meth:`reconstruct_row` per row.
+        Column-major: each row's quorum — its lowest k responding
+        provider indexes and their evaluation points — is fixed once,
+        then each column's cells are grouped by quorum shape and every
+        group is one kernel call (modular :func:`batch_reconstruct` for
+        random columns, exact :func:`interpolate_integers` for
+        order-preserving ones).  NULL is None at every provider; a mix of
+        None and shares is corruption and raises.  The first failing cell
+        in column-major order raises, with the same message as a
+        cell-by-cell decode.
         """
+        k = self.threshold
+        # one shared (points, provider order, row getter) per responding
+        # provider set, so a row costs a pair and a tuple of its share rows
+        shapes: Dict[Tuple[int, ...], Tuple] = {}
+        quorums: List[Tuple[Tuple, Tuple[ShareRow, ...]]] = []
         for share_rows in share_rows_list:
-            if len(share_rows) < self.threshold:
+            if len(share_rows) < k:
                 raise ReconstructionError(
-                    f"need shares from at least k={self.threshold} providers, "
+                    f"need shares from at least k={k} providers, "
                     f"got {len(share_rows)}"
                 )
+            order = tuple(sorted(share_rows))
+            shape = shapes.get(order)
+            if shape is None:
+                xs = tuple(self.secrets.point_for(i) for i in order[:k])
+                shape = shapes[order] = (xs, order, itemgetter(*order))
+            quorums.append((shape, shape[2](share_rows)))
         names = columns if columns is not None else self.schema.column_names
         out: List[Dict[str, object]] = [{} for _ in share_rows_list]
-        field = self.random_scheme.field
         for column in names:
-            op_scheme = self._op.get(column)
-            codec = self.codec(column)
-            # random-shared cells batched per provider subset
-            grouped: Dict[Tuple[int, ...], List[Tuple[int, List[int]]]] = {}
-            for position, share_rows in enumerate(share_rows_list):
-                shares = {
-                    index: row.get(column)
-                    for index, row in share_rows.items()
-                }
-                non_null = {i: s for i, s in shares.items() if s is not None}
-                if not non_null:
+            if column in self._op:
+                self._reconstruct_op_column(column, quorums, out)
+            else:
+                self._reconstruct_random_column(column, quorums, out)
+        return out
+
+    def _group_cells(self, column: str, quorums, out):
+        """One column's non-NULL cells grouped by quorum points.
+
+        Returns ``(groups, failure)``: ``groups`` maps the quorum points
+        to ``(positions, share vectors)``; NULL cells are written to
+        ``out`` directly.  A NULL-presence disagreement ends the scan and
+        comes back as ``failure``, for the caller to raise in its place
+        in cell order.
+        """
+        k = self.threshold
+        groups: Dict[Tuple[int, ...], Tuple[List[int], List[List[int]]]] = {}
+        for position, ((xs, order, _), rows) in enumerate(quorums):
+            ys = [row.get(column) for row in rows]
+            if None in ys:
+                if ys.count(None) == len(ys):
                     out[position][column] = None
                     continue
-                if len(non_null) != len(shares):
-                    raise ReconstructionError(
-                        f"column {column}: NULL-presence disagreement across "
-                        f"providers {sorted(set(shares) - set(non_null))}"
-                    )
-                chosen = sorted(non_null.items())[: self.threshold]
-                xs = tuple(self.secrets.point_for(i) for i, _ in chosen)
-                ys = [s for _, s in chosen]
-                if op_scheme is not None:
-                    encoded = reconstruct_integer(xs, ys)
-                    if not op_scheme.domain.contains(encoded):
-                        raise ReconstructionError(
-                            f"reconstructed value {encoded} outside domain "
-                            f"[{op_scheme.domain.lo}, {op_scheme.domain.hi}]; "
-                            "shares are corrupt"
-                        )
-                    out[position][column] = codec.decode(encoded)
-                else:
-                    grouped.setdefault(xs, []).append((position, ys))
-            for xs, cells in grouped.items():
-                elements = batch_reconstruct(field, xs, [ys for _, ys in cells])
-                for (position, _), element in zip(cells, elements):
-                    out[position][column] = codec.decode(
-                        field.decode_signed(element)
-                    )
-        return out
+                return groups, ReconstructionError(
+                    f"column {column}: NULL-presence disagreement across "
+                    f"providers "
+                    f"{[i for i, s in zip(order, ys) if s is None]}"
+                )
+            group = groups.get(xs)
+            if group is None:
+                group = groups[xs] = ([], [])
+            group[0].append(position)
+            group[1].append(ys if len(ys) == k else ys[:k])
+        return groups, None
+
+    def _reconstruct_op_column(self, column: str, quorums, out) -> None:
+        decode = self.codec(column).decode
+        domain = self._op[column].domain
+        lo, hi = domain.lo, domain.hi
+        groups, failure = self._group_cells(column, quorums, out)
+        cells: List[object] = [None] * len(quorums)
+        for xs, (positions, vectors) in groups.items():
+            for position, value in zip(positions, interpolate_integers(xs, vectors)):
+                cells[position] = value
+        del groups  # the share vectors are the bulk of a large result
+        for position, value in enumerate(cells):
+            if value is None:
+                continue
+            if isinstance(value, Fraction):
+                raise non_integer_error(value)
+            if not lo <= value <= hi:
+                raise ReconstructionError(
+                    f"reconstructed value {value} outside domain "
+                    f"[{lo}, {hi}]; shares are corrupt"
+                )
+            out[position][column] = decode(value)
+        if failure is not None:
+            raise failure
+
+    def _reconstruct_random_column(self, column: str, quorums, out) -> None:
+        decode = self.codec(column).decode
+        field = self.random_scheme.field
+        groups, failure = self._group_cells(column, quorums, out)
+        if failure is not None:  # before any decode, as the per-cell loop did
+            raise failure
+        for xs, (positions, vectors) in groups.items():
+            for position, element in zip(
+                positions, batch_reconstruct(field, xs, vectors)
+            ):
+                out[position][column] = decode(field.decode_signed(element))
 
     # -- aggregate reconstruction -------------------------------------------------------
 

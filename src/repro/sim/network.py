@@ -30,8 +30,45 @@ from decimal import Decimal
 from typing import Dict, Tuple
 
 
-def measure_bytes(payload: object) -> int:
-    """Size of ``payload`` under the documented wire format."""
+def _size_int(value: int) -> int:
+    # bit_length() ignores the sign: it is the magnitude's length already
+    return 2 + ((value.bit_length() + 7) // 8 or 1)
+
+
+def _size_str(value: str) -> int:
+    return 2 + (len(value) if value.isascii() else len(value.encode("utf-8")))
+
+
+def _size_items(items) -> int:
+    total = 4
+    for item in items:
+        sizer = _SIZERS.get(type(item))
+        total += sizer(item) if sizer is not None else _size_other(item)
+    return total
+
+
+def _size_dict(mapping: dict) -> int:
+    # keys and values sized as two runs, less one of their two count headers
+    return _size_items(mapping) + _size_items(mapping.values()) - 4
+
+
+#: Exact-type dispatch for the types every RPC payload is built from.
+#: Subclasses (``IntEnum``, ``OrderedDict``, ...) and the rarer types
+#: take :func:`_size_other`, the ``isinstance`` chain, so every size is
+#: the same whichever route a value takes.
+_SIZERS = {
+    int: _size_int,
+    str: _size_str,
+    dict: _size_dict,
+    list: _size_items,
+    tuple: _size_items,
+    type(None): lambda _: 1,
+    bool: lambda _: 1,
+}
+
+
+def _size_other(payload: object) -> int:
+    """The ``isinstance`` chain: subclasses and the rarer wire types."""
     if payload is None or isinstance(payload, bool):
         return 1
     if isinstance(payload, int):
@@ -56,6 +93,12 @@ def measure_bytes(payload: object) -> int:
     raise TypeError(
         f"cannot size object of type {type(payload).__name__} for the wire"
     )
+
+
+def measure_bytes(payload: object) -> int:
+    """Size of ``payload`` under the documented wire format."""
+    sizer = _SIZERS.get(type(payload))
+    return sizer(payload) if sizer is not None else _size_other(payload)
 
 
 @dataclass

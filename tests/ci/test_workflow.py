@@ -149,6 +149,14 @@ class TestTier1Gate:
         # requires numpy in the bench-smoke environment
         assert "pip install numpy" in runs
 
+    def test_bench_smoke_runs_perfbench_selftest(self, jobs):
+        """The end-to-end benchmark's self-test guards its wrapper
+        coverage and byte-equality checks, which the read path feeds."""
+        runs = [
+            s["run"].strip() for s in jobs["bench-smoke"]["steps"] if "run" in s
+        ]
+        assert "python3 perfbench/selftest.py" in runs
+
     def test_provider_gates_run_on_both_backends(self, jobs):
         """The provider engine check must pass on the vectorized backend
         (speedup gates) AND with the backend forced to the scalar oracle

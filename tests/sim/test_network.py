@@ -1,8 +1,11 @@
 """Unit tests for the simulated network and byte accounting."""
 
+from collections import OrderedDict, defaultdict
 from decimal import Decimal
+from enum import IntEnum
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.sim.network import (
     LatencyModel,
@@ -86,3 +89,104 @@ class TestSimulatedNetwork:
         network.reset()
         assert network.total_bytes == 0
         assert network.modelled_seconds == 0.0
+
+
+def _reference_measure_bytes(payload: object) -> int:
+    """The recursive ``isinstance`` sizer, frozen as the oracle for the
+    type-dispatched one: every size must stay byte-identical."""
+    if payload is None or isinstance(payload, bool):
+        return 1
+    if isinstance(payload, int):
+        magnitude = abs(payload)
+        return 2 + max(1, (magnitude.bit_length() + 7) // 8)
+    if isinstance(payload, float):
+        return 9
+    if isinstance(payload, Decimal):
+        return 2 + len(str(payload))
+    if isinstance(payload, str):
+        return 2 + len(payload.encode("utf-8"))
+    if isinstance(payload, bytes):
+        return 2 + len(payload)
+    if isinstance(payload, (list, tuple)):
+        return 4 + sum(_reference_measure_bytes(item) for item in payload)
+    if isinstance(payload, dict):
+        return 4 + sum(
+            _reference_measure_bytes(k) + _reference_measure_bytes(v)
+            for k, v in payload.items()
+        )
+    if hasattr(payload, "wire_size"):
+        return payload.wire_size()
+    raise TypeError(
+        f"cannot size object of type {type(payload).__name__} for the wire"
+    )
+
+
+class Color(IntEnum):
+    RED = 1
+    BLUE = 300
+
+
+class Sized:
+    def __init__(self, size: int) -> None:
+        self.size = size
+
+    def wire_size(self) -> int:
+        return self.size
+
+
+leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.just(0),
+    st.integers(),
+    st.integers(max_value=-1),
+    st.integers(min_value=2**100, max_value=2**400),
+    st.integers(min_value=-(2**400), max_value=-(2**100)),
+    st.decimals(allow_nan=False, allow_infinity=False),
+    st.floats(allow_nan=False),
+    st.binary(max_size=20),
+    st.text(max_size=12),
+    st.sampled_from(list(Color)),
+    st.integers(0, 1000).map(Sized),
+)
+keys = st.one_of(st.text(max_size=8), st.integers(), st.booleans())
+payloads = st.recursive(
+    leaves,
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=5).map(tuple),
+        st.dictionaries(keys, children, max_size=5),
+        st.dictionaries(keys, children, max_size=5).map(OrderedDict),
+        st.dictionaries(keys, children, max_size=5).map(
+            lambda d: defaultdict(list, d)
+        ),
+    ),
+    max_leaves=40,
+)
+
+
+class TestMeasureBytesMatchesReference:
+    @given(payload=payloads)
+    @settings(max_examples=300, deadline=None)
+    def test_generated_payloads(self, payload):
+        assert measure_bytes(payload) == _reference_measure_bytes(payload)
+
+    def test_share_row_response(self):
+        payload = {
+            "rows": [
+                (row_id, {"eid": 2**95 + row_id, "name": -(2**118), "x": None})
+                for row_id in range(50)
+            ],
+            "epoch": 0,
+        }
+        assert measure_bytes(payload) == _reference_measure_bytes(payload)
+
+    @pytest.mark.parametrize(
+        "payload", [object(), [1, {"k": object()}], ({2: 3j},)]
+    )
+    def test_unknown_type_error_unchanged(self, payload):
+        with pytest.raises(TypeError) as want:
+            _reference_measure_bytes(payload)
+        with pytest.raises(TypeError) as got:
+            measure_bytes(payload)
+        assert str(got.value) == str(want.value)
