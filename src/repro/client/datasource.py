@@ -446,12 +446,13 @@ class DataSource:
         if explicit_ids is None and rows:
             start = self.reserve_row_ids(table_name, len(rows))
             explicit_ids = list(range(start, start + len(rows)))
+        schema = sharing.schema
         prepared: List[Tuple[int, List[ShareRow]]] = []
         for position, row in enumerate(rows):
-            normalised = sharing.schema.validate_row(row)
-            share_rows = sharing.share_row(normalised)
+            # validation yields the encoded cells: one encode per cell
+            share_rows = sharing.share_row(schema.encode_row(row), encoded=True)
             self.cost.record(
-                "poly_eval", len(sharing.schema.columns) * self.cluster.n_providers
+                "poly_eval", len(schema.columns) * self.cluster.n_providers
             )
             prepared.append((explicit_ids[position], share_rows))
         return prepared

@@ -130,18 +130,16 @@ class StringCodec(Codec[str]):
             )
         if len(set(self.alphabet)) != len(self.alphabet):
             raise EncodingError("alphabet contains duplicate symbols")
+        # the real (non-pad) symbols, stripped in one C call to check a
+        # value, and each symbol's digit
+        object.__setattr__(self, "_symbols", self.alphabet[1:])
+        object.__setattr__(
+            self, "_digits", {ch: i for i, ch in enumerate(self.alphabet)}
+        )
 
     @property
     def base(self) -> int:
         return len(self.alphabet)
-
-    def _digit(self, ch: str) -> int:
-        index = self.alphabet.find(ch)
-        if index < 0:
-            raise EncodingError(
-                f"character {ch!r} outside the alphabet {self.alphabet!r}"
-            )
-        return index
 
     def domain(self) -> IntegerDomain:
         return IntegerDomain(0, self.base**self.width - 1)
@@ -157,21 +155,26 @@ class StringCodec(Codec[str]):
             raise EncodingError(
                 f"string {value!r} longer than declared width {self.width}"
             )
-        for ch in upper:
-            if ch == PAD_CHAR or ch not in self.alphabet:
-                raise EncodingError(
-                    f"character {ch!r} outside the A-Z alphabet in {value!r}"
-                    if self.alphabet is STRING_ALPHABET
-                    else f"character {ch!r} outside the alphabet in {value!r}"
-                )
+        if upper.strip(self._symbols):
+            # some character is not a real symbol: name the first one
+            for ch in upper:
+                if ch == PAD_CHAR or ch not in self.alphabet:
+                    raise EncodingError(
+                        f"character {ch!r} outside the A-Z alphabet in {value!r}"
+                        if self.alphabet is STRING_ALPHABET
+                        else f"character {ch!r} outside the alphabet in {value!r}"
+                    )
         return upper
 
     def encode(self, value: str) -> int:
-        padded = self.normalize(value).ljust(self.width, PAD_CHAR)
+        upper = self.normalize(value)
+        base = len(self.alphabet)
+        digits = self._digits
         number = 0
-        for ch in padded:
-            number = number * self.base + self._digit(ch)
-        return number
+        for ch in upper:
+            number = number * base + digits[ch]
+        # right-padding with the pad symbol, digit 0
+        return number * base ** (self.width - len(upper))
 
     def decode(self, number: int) -> str:
         alphabet = self.alphabet

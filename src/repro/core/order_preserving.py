@@ -84,6 +84,12 @@ class IntegerDomain:
 #: manageable; the width is per-scheme configurable for experiments.
 DEFAULT_SLOT_WIDTH = 1 << 32
 
+#: Values whose n shares one scheme instance memoizes; the memo is cleared
+#: when it reaches this size.  Low-cardinality columns (names,
+#: departments) fit whole, so re-sharing a repeated value costs a dict
+#: lookup instead of k−1 HMACs and an exact-integer evaluation.
+SPLIT_MEMO_LIMIT = 4096
+
 
 class OrderPreservingScheme:
     """The paper's slot-partitioned order-preserving sharing.
@@ -132,6 +138,13 @@ class OrderPreservingScheme:
         # keeps the "upper bound on the sum of domain sizes" leak of Sec. IV
         # as loose as the paper argues.
         self._n_coeffs = threshold - 1
+        # encoded value -> its n shares.  The scheme is deterministic per
+        # (secrets, label, domain, threshold, slot width), all fixed for
+        # the instance's life, so an entry never goes stale; it is private
+        # to the instance and never handed out (split returns a copy).
+        # Unlocked: threads racing on it can only recompute or re-insert
+        # an identical entry, or clear it once more
+        self._memo: Dict[int, List[int]] = {}
 
     @property
     def n_providers(self) -> int:
@@ -163,19 +176,28 @@ class OrderPreservingScheme:
 
     # -- share computation ---------------------------------------------------
 
+    def _shares(self, value: int) -> List[int]:
+        """The memoized n shares of ``value`` (the memo's own list: callers
+        must not let it escape)."""
+        shares = self._memo.get(value)
+        if shares is None:
+            shares = self._kernel().evaluate(self.polynomial_for(value).coeffs)
+            if len(self._memo) >= SPLIT_MEMO_LIMIT:
+                self._memo.clear()
+            self._memo[value] = shares
+        return shares
+
     def share(self, value: int, provider_index: int) -> int:
         """share(v, i) = p_v(x_i) — also used for query rewriting (Sec. V-A)."""
-        return self.polynomial_for(value).evaluate(
-            self.secrets.point_for(provider_index)
-        )
+        return self._shares(value)[provider_index]
 
     def _kernel(self):
         """Cached *exact-integer* power table (no modulus: order must hold)."""
         return split_kernel(self.secrets.evaluation_points, self.threshold, None)
 
     def split(self, value: int) -> List[int]:
-        """All n shares of ``value``, provider-index order."""
-        return self._kernel().evaluate(self.polynomial_for(value).coeffs)
+        """All n shares of ``value``, provider-index order (a fresh list)."""
+        return list(self._shares(value))
 
     def split_batch(self, values: Sequence[int]) -> List[List[int]]:
         """Share many values; result[j][i] is value j's share at provider i."""

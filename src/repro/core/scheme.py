@@ -57,6 +57,7 @@ class TableSharing:
         self.threshold = threshold
         self._rng = rng.substream(f"table/{schema.name}")
         self.random_scheme = ShamirScheme(secrets, threshold)
+        self._names = tuple(schema.column_names)
         self._codecs = {c.name: c.codec() for c in schema.columns}
         self._op: Dict[str, OrderPreservingScheme] = {}
         shared_registry = op_schemes if op_schemes is not None else {}
@@ -137,25 +138,35 @@ class TableSharing:
 
     def share_value(self, column: str, value) -> List[Optional[int]]:
         """All n shares of one column value (NULL → None everywhere)."""
-        encoded = self.encode(column, value)
+        return self._share_encoded(column, self.encode(column, value))
+
+    def _share_encoded(
+        self, column: str, encoded: Optional[int]
+    ) -> List[Optional[int]]:
         if encoded is None:
             return [None] * self.n_providers
-        if column in self._op:
-            return self._op[column].split(encoded)
+        scheme = self._op.get(column)
+        if scheme is not None:
+            return scheme.split(encoded)
         return self.random_scheme.split(
             self.random_scheme.field.encode_signed(encoded), self._rng
         )
 
-    def share_row(self, row: Dict[str, object]) -> List[ShareRow]:
-        """A full plaintext row → one share row per provider."""
-        per_provider: List[ShareRow] = [
-            {} for _ in range(self.n_providers)
-        ]
-        for column in self.schema.column_names:
-            shares = self.share_value(column, row.get(column))
-            for index, share in enumerate(shares):
-                per_provider[index][column] = share
-        return per_provider
+    def share_row(
+        self, row: Dict[str, object], *, encoded: bool = False
+    ) -> List[ShareRow]:
+        """A full plaintext row → one share row per provider.
+
+        With ``encoded=True`` the row already holds domain integers (None
+        for NULL), as :meth:`TableSchema.encode_row` returns them — the
+        insert path validates and encodes each cell once.  Columns are
+        shared in schema order either way, so random columns draw from
+        the RNG in the same row-major order.
+        """
+        names = self._names
+        share = self._share_encoded if encoded else self.share_value
+        cells = [share(column, row.get(column)) for column in names]
+        return [dict(zip(names, shares)) for shares in zip(*cells)]
 
     # -- query-time share computation (Sec. V-A rewriting) ------------------------
 

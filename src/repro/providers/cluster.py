@@ -211,9 +211,14 @@ class ProviderCluster:
         self.providers: List[ShareProvider] = [
             ShareProvider(f"{name_prefix}DAS{i + 1}") for i in range(n_providers)
         ]
+        # the clocks close over the network, not ``self``: a closure over
+        # the cluster would make cluster -> health -> clock -> cluster a
+        # reference cycle, keeping a dropped deployment (and its share
+        # store) alive until the cyclic collector runs
+        network = self.network
         self.health = health or HealthTracker(
             n_providers,
-            clock=lambda: self.network.modelled_seconds,
+            clock=lambda: network.modelled_seconds,
             names=[p.name for p in self.providers],
         )
         # Opt-in: clusters without a board keep the exact historical
@@ -230,9 +235,10 @@ class ProviderCluster:
         ``failure_threshold``, ``min_calls``, ``open_seconds``,
         ``half_open_probes``).
         """
+        network = self.network
         self.breakers = BreakerBoard(
             self.n_providers,
-            clock=lambda: self.network.modelled_seconds,
+            clock=lambda: network.modelled_seconds,
             names=[p.name for p in self.providers],
             **kwargs,
         )

@@ -97,7 +97,19 @@ class Column:
             raise SchemaError(f"column {self.name}: width must be >= 1")
 
     def codec(self) -> Codec:
-        """The order-preserving codec for this column's type."""
+        """The order-preserving codec for this column's type.
+
+        Codecs are immutable, so each column builds its codec once, on
+        first use, and hands the same instance to every caller.
+        """
+        codec = self.__dict__.get("_codec")
+        if codec is None:
+            codec = self._build_codec()
+            # a frozen dataclass: a cache outside the compared fields
+            object.__setattr__(self, "_codec", codec)
+        return codec
+
+    def _build_codec(self) -> Codec:
         if self.ctype is ColumnType.INTEGER:
             return IntegerCodec(self.lo, self.hi)
         if self.ctype is ColumnType.STRING:
@@ -118,12 +130,17 @@ class Column:
 
     def validate_value(self, value) -> None:
         """Raise :class:`SchemaError` when a Python value doesn't fit."""
+        self.encode_value(value)
+
+    def encode_value(self, value) -> Optional[int]:
+        """The value's domain integer (None for NULL), validated: raises
+        :class:`SchemaError` when a Python value doesn't fit."""
         if value is None:
             if not self.nullable:
                 raise SchemaError(f"column {self.name} is NOT NULL")
-            return
+            return None
         try:
-            self.codec().encode(value)
+            return self.codec().encode(value)
         except Exception as exc:
             raise SchemaError(f"column {self.name}: {exc}") from exc
 
@@ -183,12 +200,28 @@ class TableSchema:
     def validate_row(self, row: Dict[str, object]) -> Dict[str, object]:
         """Validate and normalise a row dict; unknown keys are rejected,
         missing nullable columns default to None."""
+        normalised: Dict[str, object] = {}
+        for col, value in self._row_values(row):
+            col.validate_value(value)
+            normalised[col.name] = value
+        return normalised
+
+    def encode_row(self, row: Dict[str, object]) -> Dict[str, Optional[int]]:
+        """:meth:`validate_row` that returns each column's domain integer
+        (None for NULL) instead of its value — the same checks in the same
+        order with the same errors, and one encode per cell."""
+        return {
+            col.name: col.encode_value(value)
+            for col, value in self._row_values(row)
+        }
+
+    def _row_values(self, row: Dict[str, object]):
+        """(column, value) in column order, after the row-level checks."""
         unknown = set(row) - set(self.column_names)
         if unknown:
             raise SchemaError(
                 f"table {self.name}: unknown columns {sorted(unknown)}"
             )
-        normalised: Dict[str, object] = {}
         for col in self.columns:
             value = row.get(col.name)
             if value is None and col.name not in row and not col.nullable:
@@ -196,9 +229,7 @@ class TableSchema:
                     f"table {self.name}: missing value for NOT NULL column "
                     f"{col.name}"
                 )
-            col.validate_value(value)
-            normalised[col.name] = value
-        return normalised
+            yield col, value
 
 
 def integer_column(
