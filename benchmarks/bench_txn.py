@@ -55,7 +55,7 @@ from repro.sqlengine.executor import PlaintextExecutor
 from repro.sqlengine.schema import TableSchema, integer_column
 from repro.sqlengine.sqlparser import parse_sql
 from repro.sqlengine.table import Table
-from repro.txn import KILL_PHASES, ShardedTransactionManager, TransactionManager
+from repro.txn import KILL_PHASES, TransactionManager
 
 SEED = 2009
 RESULT_PATH = REPO_ROOT / "BENCH_txn.json"
@@ -217,14 +217,12 @@ def recovery_matrix(rows: int, providers: int, threshold: int, sharded: bool):
                 threshold=threshold,
                 seed=SEED,
             )
-            reader.create_table(accounts_schema())
-            manager = ShardedTransactionManager(reader, wal)
         else:
             reader = DataSource(
                 ProviderCluster(providers, threshold), seed=SEED
             )
-            reader.create_table(accounts_schema())
-            manager = TransactionManager(reader, wal)
+        reader.create_table(accounts_schema())
+        manager = TransactionManager(reader, wal)
         catalog, oracle = build_oracle(rows)
         for i in range(rows):
             manager.execute(
@@ -243,11 +241,7 @@ def recovery_matrix(rows: int, providers: int, threshold: int, sharded: bool):
         if phase != "pre-log":
             oracle.execute(parse_sql(victim))
         manager.close()
-        recovering = (
-            ShardedTransactionManager(reader, wal)
-            if sharded
-            else TransactionManager(reader, wal)
-        )
+        recovering = TransactionManager(reader, wal)
         report = recovering.recover()
         live = snapshot(reader)
         expected = sorted(

@@ -693,7 +693,7 @@ def cmd_txn_replay(args, out) -> int:
 
     from .errors import SimulatedCrash
     from .sqlengine.sqlparser import parse_sql
-    from .txn import KILL_PHASES, ShardedTransactionManager, TransactionManager
+    from .txn import KILL_PHASES, TransactionManager
 
     phases = list(KILL_PHASES) if args.kill == "all" else [args.kill]
     victim = (
@@ -712,14 +712,12 @@ def cmd_txn_replay(args, out) -> int:
             )
             router.create_table(_accounts_schema())
             reader = router
-            wal = _tempfile.mktemp(prefix="repro-replay-", suffix=".wal")
-            manager = ShardedTransactionManager(router, wal)
         else:
             cluster = ProviderCluster(args.providers, args.threshold)
             reader = DataSource(cluster, seed=args.seed)
             reader.create_table(_accounts_schema())
-            wal = _tempfile.mktemp(prefix="repro-replay-", suffix=".wal")
-            manager = TransactionManager(reader, wal)
+        wal = _tempfile.mktemp(prefix="repro-replay-", suffix=".wal")
+        manager = TransactionManager(reader, wal)
         catalog, oracle = _txn_oracle(args.rows)
         for i in range(args.rows):
             manager.execute(
@@ -737,10 +735,7 @@ def cmd_txn_replay(args, out) -> int:
         if phase != "pre-log":
             oracle.execute(parse_sql(victim))
         manager.close()
-        if args.sharded:
-            recovering = ShardedTransactionManager(router, wal)
-        else:
-            recovering = TransactionManager(reader, wal)
+        recovering = TransactionManager(reader, wal)
         report = recovering.recover()
         live = sorted(
             (row["aid"], row["balance"])

@@ -327,6 +327,28 @@ def save_deployment(source: DataSource, directory: str) -> List[str]:
     return paths
 
 
+def _read_manifest(path: str, label: str, missing: str) -> Dict:
+    """Open, decode and version-check a manifest.
+
+    ``missing`` is the error for an absent file (an interrupted save);
+    ``label`` names the manifest in the decode and version errors.
+    """
+    if not os.path.exists(path):
+        raise ConfigurationError(missing)
+    with open(path, "rb") as handle:
+        try:
+            manifest = json.loads(handle.read().decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ConfigurationError(
+                f"{label} {path!r} is not valid JSON: {exc}"
+            ) from exc
+    if manifest.get("version") != _FORMAT_VERSION:
+        raise ConfigurationError(
+            f"unsupported {label} version {manifest.get('version')!r}"
+        )
+    return manifest
+
+
 def _read_snapshot_file(directory: str, name: str, digests: Dict[str, str]) -> Dict:
     """One manifest-verified JSON snapshot file."""
     path = os.path.join(directory, name)
@@ -417,24 +439,12 @@ def load_sharded_deployment(directory: str):
     """
     from .service.sharding import ShardRouter
 
-    shard_manifest_path = os.path.join(directory, SHARD_MANIFEST_NAME)
-    if not os.path.exists(shard_manifest_path):
-        raise ConfigurationError(
-            f"no shard manifest in {directory!r}: the sharded save was "
-            "interrupted before completion — re-save the deployment"
-        )
-    with open(shard_manifest_path, "rb") as handle:
-        try:
-            manifest = json.loads(handle.read().decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ConfigurationError(
-                f"shard manifest {shard_manifest_path!r} is not valid "
-                f"JSON: {exc}"
-            ) from exc
-    if manifest.get("version") != _FORMAT_VERSION:
-        raise ConfigurationError(
-            f"unsupported shard manifest version {manifest.get('version')!r}"
-        )
+    manifest = _read_manifest(
+        os.path.join(directory, SHARD_MANIFEST_NAME),
+        "shard manifest",
+        f"no shard manifest in {directory!r}: the sharded save was "
+        "interrupted before completion — re-save the deployment",
+    )
     sources = []
     retired = []
     for index, entry in enumerate(manifest["groups"]):
@@ -475,24 +485,13 @@ def load_deployment(directory: str) -> DataSource:
     client_path = os.path.join(directory, "client.json")
     if not os.path.exists(client_path):
         raise ConfigurationError(f"no client snapshot in {directory!r}")
-    manifest_path = os.path.join(directory, MANIFEST_NAME)
-    if not os.path.exists(manifest_path):
-        raise ConfigurationError(
-            f"no manifest in {directory!r}: the save was interrupted before "
-            f"completion, or predates the manifest format — re-save the "
-            f"deployment"
-        )
-    with open(manifest_path, "rb") as handle:
-        try:
-            manifest = json.loads(handle.read().decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ConfigurationError(
-                f"snapshot manifest {manifest_path!r} is not valid JSON: {exc}"
-            ) from exc
-    if manifest.get("version") != _FORMAT_VERSION:
-        raise ConfigurationError(
-            f"unsupported snapshot manifest version {manifest.get('version')!r}"
-        )
+    manifest = _read_manifest(
+        os.path.join(directory, MANIFEST_NAME),
+        "snapshot manifest",
+        f"no manifest in {directory!r}: the save was interrupted before "
+        f"completion, or predates the manifest format — re-save the "
+        f"deployment",
+    )
     digests = manifest.get("files", {})
     client_data = _read_snapshot_file(directory, "client.json", digests)
     cluster = ProviderCluster(

@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .. import telemetry
 from ..client.datasource import DataSource
@@ -754,22 +754,71 @@ class ShardRouter:
                 owners = [g for g in owners if g in hit]
         return owners
 
-    def _owner_for_row(
-        self, shard_map: object, table: str, row_id: int, row: Row
-    ) -> int:
-        if isinstance(shard_map, HashShardMap):
-            return shard_map.group_for_row_id(row_id)
-        value = row.get(shard_map.partition_column)
-        if value is None:
-            raise QueryError(
-                f"cannot route a row with NULL partition column "
-                f"{shard_map.partition_column!r} of {table!r}"
+    def route(self, statement: Union[Select, Update, Delete]) -> List[int]:
+        """The groups a statement runs on: the one owner routing.
+
+        Binds and rewrites the predicate as the groups will, then prunes
+        owners by the rewritten intervals (a provably empty predicate
+        routes nowhere).  Refuses an UPDATE that assigns the
+        range-partition column: the new value may belong to another
+        group, and rewriting the row in place would strand it where
+        pruning never looks.
+        """
+        shard_map = self.shard_map(statement.table)
+        if (
+            isinstance(statement, Update)
+            and isinstance(shard_map, RangeShardMap)
+            and shard_map.partition_column in statement.assignments
+        ):
+            raise UnsupportedQueryError(
+                f"updating range-partition column "
+                f"{shard_map.partition_column!r} would re-home rows across "
+                "shard groups; DELETE + INSERT instead"
             )
-        sharing = self._sharing(table)
-        encoded = self._encode_partition_key(
-            sharing, shard_map.partition_column, value
+        sharing = self._sharing(statement.table)
+        rewritten = rewrite_predicate(
+            statement.where.bind(sharing.schema), sharing
         )
-        return shard_map.group_for_key(encoded)
+        return self._read_owners(shard_map, rewritten)
+
+    def place(
+        self,
+        table: str,
+        rows: Sequence[Row],
+        row_ids: Optional[Sequence[int]] = None,
+    ) -> List[Tuple[int, int]]:
+        """``(row_id, owning group)`` per new row: the one placement.
+
+        Reserves a router-global id block unless ``row_ids`` (a
+        session's private block) are given.  Hash mode looks the whole
+        batch up on the ring at once; range mode encodes each row's
+        partition key.
+        """
+        shard_map = self.shard_map(table)
+        if not rows:
+            return []
+        if row_ids is None:
+            start = self.reserve_row_ids(table, len(rows))
+            row_ids = list(range(start, start + len(rows)))
+        elif len(row_ids) != len(rows):
+            raise QueryError(
+                f"{len(rows)} rows but {len(row_ids)} row ids"
+            )
+        if isinstance(shard_map, HashShardMap):
+            return list(zip(row_ids, shard_map.groups_for_row_ids(row_ids)))
+        column = shard_map.partition_column
+        sharing = self._sharing(table)
+        placed: List[Tuple[int, int]] = []
+        for row_id, row in zip(row_ids, rows):
+            value = row.get(column)
+            if value is None:
+                raise QueryError(
+                    f"cannot route a row with NULL partition column "
+                    f"{column!r} of {table!r}"
+                )
+            key = self._encode_partition_key(sharing, column, value)
+            placed.append((row_id, shard_map.group_for_key(key)))
+        return placed
 
     def _partition_key(
         self, sharing: TableSharing, column: str, share_rows: Dict[int, ShareRow]
@@ -815,60 +864,28 @@ class ShardRouter:
         rows: Sequence[Row],
         row_ids: Optional[Sequence[int]],
     ) -> List[int]:
-        shard_map = self.shard_map(table)
-        if not rows:
-            return []
-        if row_ids is None:
-            start = self.reserve_row_ids(table, len(rows))
-            row_ids = list(range(start, start + len(rows)))
-        elif len(row_ids) != len(rows):
-            raise QueryError(
-                f"{len(rows)} rows but {len(row_ids)} row ids"
-            )
         per_group: Dict[int, Tuple[List[Row], List[int]]] = {}
-        if isinstance(shard_map, HashShardMap):
-            # one batched ring lookup instead of a per-row owner probe
-            owners = shard_map.groups_for_row_ids(row_ids)
-        else:
-            owners = [
-                self._owner_for_row(shard_map, table, row_id, row)
-                for row_id, row in zip(row_ids, rows)
-            ]
-        for row_id, row, owner in zip(row_ids, rows, owners):
+        placed = self.place(table, rows, row_ids)
+        for row, (row_id, owner) in zip(rows, placed):
             bucket = per_group.setdefault(owner, ([], []))
             bucket[0].append(row)
             bucket[1].append(row_id)
         for owner in sorted(per_group):
             group_rows, group_ids = per_group[owner]
             self.groups[owner].source.insert_many(table, group_rows, group_ids)
-        return list(row_ids)
+        return [row_id for row_id, _ in placed]
 
     def _update(self, query: Update) -> int:
-        shard_map = self.shard_map(query.table)
-        if (
-            isinstance(shard_map, RangeShardMap)
-            and shard_map.partition_column in query.assignments
-        ):
-            raise UnsupportedQueryError(
-                f"updating range-partition column "
-                f"{shard_map.partition_column!r} would re-home rows across "
-                "shard groups; DELETE + INSERT instead"
-            )
-        sharing = self._sharing(query.table)
-        rewritten = rewrite_predicate(query.where.bind(sharing.schema), sharing)
-        total = 0
-        for owner in self._read_owners(shard_map, rewritten):
-            total += self.groups[owner].source.update(query)
-        return total
+        return sum(
+            self.groups[owner].source.update(query)
+            for owner in self.route(query)
+        )
 
     def _delete(self, query: Delete) -> int:
-        shard_map = self.shard_map(query.table)
-        sharing = self._sharing(query.table)
-        rewritten = rewrite_predicate(query.where.bind(sharing.schema), sharing)
-        total = 0
-        for owner in self._read_owners(shard_map, rewritten):
-            total += self.groups[owner].source.delete(query)
-        return total
+        return sum(
+            self.groups[owner].source.delete(query)
+            for owner in self.route(query)
+        )
 
     def update(self, query: Update) -> int:
         self._lock.acquire_write()
@@ -894,11 +911,9 @@ class ShardRouter:
             self._lock.release_read()
 
     def _select(self, query: Select):
+        owners = self.route(query)
         sharing = self._sharing(query.table)
-        shard_map = self.shard_map(query.table)
-        rewritten = rewrite_predicate(query.where.bind(sharing.schema), sharing)
         validate_select(sharing.schema, query)
-        owners = self._read_owners(shard_map, rewritten)
         telemetry.count(
             "shard.fanout", max(len(owners), 1), table=query.table
         )
@@ -1080,11 +1095,7 @@ class ShardRouter:
         """The sole owning group of a read, or None if it fans out."""
         if not isinstance(statement, Select):
             return None
-        sharing = self._sharing(statement.table)
-        rewritten = rewrite_predicate(
-            statement.where.bind(sharing.schema), sharing
-        )
-        owners = self._read_owners(self.shard_map(statement.table), rewritten)
+        owners = self.route(statement)
         return owners[0] if len(owners) == 1 else None
 
     def execute_wave(self, statements: List[str]) -> List[object]:

@@ -2,17 +2,12 @@
 incremental share deltas, crash recovery, and epoch time travel."""
 
 from .groupcommit import GroupCommitEngine
-from .manager import (
-    KILL_PHASES,
-    ShardedTransactionManager,
-    TransactionManager,
-)
+from .manager import KILL_PHASES, TransactionManager
 from .wal import WriteAheadLog
 
 __all__ = [
     "GroupCommitEngine",
     "KILL_PHASES",
-    "ShardedTransactionManager",
     "TransactionManager",
     "WriteAheadLog",
 ]

@@ -41,9 +41,10 @@ import os
 import tempfile
 import threading
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from .. import telemetry
+from ..client.datasource import DataSource
 from ..errors import SimulatedCrash, TxnError
 from ..sqlengine.query import (
     Delete,
@@ -89,7 +90,16 @@ class _BatchOverlay:
 
 
 class TransactionManager:
-    """WAL-backed, group-committed writes over one :class:`DataSource`.
+    """WAL-backed, group-committed writes over one deployment.
+
+    ``deployment`` is a :class:`~repro.client.datasource.DataSource`
+    (one provider group: group 0 owns every row, row ids come from the
+    source's own counter) or a :class:`~repro.service.sharding.
+    ShardRouter` (the router routes every statement and places every
+    new row).  Either way one coordinator WAL covers the whole
+    deployment: each op carries its group index, apply runs one
+    prepare+commit round per touched group, and replay re-routes from
+    the tags.
 
     ``wal_path=None`` creates a throwaway log file under the system
     temp directory — convenient for benchmarks; crash tests pass an
@@ -105,17 +115,30 @@ class TransactionManager:
 
     def __init__(
         self,
-        source,
+        deployment,
         wal_path: Optional[str] = None,
         max_group: int = 128,
         checkpoint_after: int = 256,
     ) -> None:
-        if getattr(source, "audit", None) is not None:
+        if isinstance(deployment, DataSource):
+
+            def place(table: str, rows: Sequence[Row]) -> List[Tuple[int, int]]:
+                start = deployment.reserve_row_ids(table, len(rows))
+                return [(start + offset, 0) for offset in range(len(rows))]
+
+            self._sources: Callable[[], List[DataSource]] = lambda: [deployment]
+            self._route: Callable[[Statement], List[int]] = lambda stmt: [0]
+            self._place = place
+        else:
+            self._sources = lambda: [group.source for group in deployment.groups]
+            self._route = deployment.route
+            self._place = deployment.place
+        if any(source.audit is not None for source in self._sources()):
             raise TxnError(
                 "the transactional write path does not maintain an audit "
                 "registry; detach it or use the direct DataSource paths"
             )
-        self.source = source
+        self.deployment = deployment
         if wal_path is None:
             handle, wal_path = tempfile.mkstemp(
                 prefix="repro-wal-", suffix=".log"
@@ -137,15 +160,11 @@ class TransactionManager:
         self.txns_committed = 0
         self.txns_replayed = 0
 
-    # -- backend hooks (overridden by the sharded manager) -----------------------
-
-    def _group_source(self, group: int):
-        if group != 0:
-            raise TxnError(f"unsharded manager has no group {group}")
-        return self.source
-
-    def _groups_of(self, ops: Sequence[Dict]) -> List[int]:
-        return sorted({op.get("group", 0) for op in ops})
+    def _group_source(self, group: int) -> DataSource:
+        sources = self._sources()
+        if not 0 <= group < len(sources):
+            raise TxnError(f"the deployment has no group {group}")
+        return sources[group]
 
     # -- kill points --------------------------------------------------------------
 
@@ -168,56 +187,79 @@ class TransactionManager:
 
     # -- statement resolution ------------------------------------------------------
 
+    @staticmethod
     def _op(
-        self,
         method: str,
         table: str,
         epoch: int,
-        requests: List[Dict],
-        group: int = 0,
+        group: int,
+        payloads: Sequence[Dict],
     ) -> Dict:
+        """One logged op; ``payloads[i]`` is the body of provider i's request."""
         return {
             "method": method,
             "table": table,
             "epoch": epoch,
             "group": group,
-            "requests": requests,
+            "requests": [
+                {"table": table, **payload, "epoch": epoch}
+                for payload in payloads
+            ],
         }
 
-    def _resolve_insert(self, stmt: Insert) -> Tuple[List[Dict], object]:
-        source = self.source
-        prepared = source.prepare_insert_shares(stmt.table, [stmt.row])
-        epoch = self._next_epoch(0, stmt.table)
-        requests = [
-            {
-                "table": stmt.table,
-                "rows": [[rid, shares[i]] for rid, shares in prepared],
-                "epoch": epoch,
-            }
-            for i in range(source.cluster.n_providers)
+    @staticmethod
+    def _insert_payloads(prepared, n_providers: int) -> List[Dict]:
+        return [
+            {"rows": [[rid, shares[i]] for rid, shares in prepared]}
+            for i in range(n_providers)
         ]
-        op = self._op("insert_many", stmt.table, epoch, requests)
-        return [op], prepared[0][0]
+
+    def _per_group(
+        self, stmt: Union[Update, Delete], method: str, resolve
+    ) -> Tuple[List[Dict], int]:
+        """Resolve ``stmt`` on every group the deployment routes it to.
+
+        ``resolve(source)`` returns ``(affected, payloads)`` for one
+        group; a group where nothing matches gets no op and no epoch.
+        """
+        ops: List[Dict] = []
+        total = 0
+        for group in self._route(stmt):
+            affected, payloads = resolve(self._group_source(group))
+            if not affected:
+                continue
+            epoch = self._next_epoch(group, stmt.table)
+            ops.append(self._op(method, stmt.table, epoch, group, payloads))
+            total += affected
+        return ops, total
+
+    def _resolve_insert(self, stmt: Insert) -> Tuple[List[Dict], object]:
+        [(row_id, group)] = self._place(stmt.table, [stmt.row])
+        source = self._group_source(group)
+        prepared = source.prepare_insert_shares(stmt.table, [stmt.row], [row_id])
+        epoch = self._next_epoch(group, stmt.table)
+        payloads = self._insert_payloads(prepared, source.cluster.n_providers)
+        return [self._op("insert_many", stmt.table, epoch, group, payloads)], row_id
 
     def _delta_columns(self, stmt: Update) -> Optional[Dict[str, int]]:
         """The per-column delta amounts, or None if ineligible.
 
         Eligibility mirrors :meth:`DataSource.increment`: every
         assignment a :class:`Delta`, every column randomly shared and
-        INTEGER, and the predicate fully provider-pushable.
+        INTEGER, and the predicate fully provider-pushable.  Every group
+        carries the same sharing, so group 0 decides for all of them.
         """
         if not stmt.is_pure_delta:
             return None
-        sharing = self.source.sharing(stmt.table)
+        source = self._group_source(0)
+        sharing = source.sharing(stmt.table)
         for column in stmt.assignments:
             column_schema = sharing.schema.column(column)
             if column_schema.searchable:
                 return None
             if column_schema.ctype is not ColumnType.INTEGER:
                 return None
-        rewritten = self.source._rewrite(
-            stmt.where.bind(sharing.schema), sharing
-        )
+        rewritten = source._rewrite(stmt.where.bind(sharing.schema), sharing)
         if rewritten.has_residual:
             return None
         return {
@@ -225,80 +267,64 @@ class TransactionManager:
         }
 
     def _resolve_update(self, stmt: Update) -> Tuple[List[Dict], object]:
-        source = self.source
         deltas = self._delta_columns(stmt)
         if deltas is not None:
             return self._resolve_delta_update(stmt, deltas)
-        matches = source._fetch_matching_rows(stmt)
-        if not matches:
-            return [], 0
-        updates_per_provider = source.prepare_update_shares(stmt, matches)
-        epoch = self._next_epoch(0, stmt.table)
-        requests = [
-            {
-                "table": stmt.table,
-                "updates": updates_per_provider[i],
-                "epoch": epoch,
-            }
-            for i in range(source.cluster.n_providers)
-        ]
-        op = self._op("update_rows", stmt.table, epoch, requests)
-        return [op], len(matches)
+
+        def resolve(source):
+            matches = source._fetch_matching_rows(stmt)
+            if not matches:
+                return 0, None
+            updates = source.prepare_update_shares(stmt, matches)
+            return len(matches), [{"updates": u} for u in updates]
+
+        return self._per_group(stmt, "update_rows", resolve)
 
     def _resolve_delta_update(
         self, stmt: Update, deltas: Dict[str, int]
     ) -> Tuple[List[Dict], object]:
         """Incremental share-delta resolution: ids only, no row payload."""
-        source = self.source
-        sharing = source.sharing(stmt.table)
-        rewritten = source._rewrite(stmt.where.bind(sharing.schema), sharing)
-        if rewritten.provably_empty:
-            return [], 0
-        row_ids = source._fetch_row_ids(sharing, rewritten)
-        if not row_ids:
-            return [], 0
-        epoch = self._next_epoch(0, stmt.table)
-        modulus = source.secrets.field.modulus
-        # one combined increment op carries every delta column: the row-id
-        # list is shipped once instead of once per column, and the
-        # provider applies the whole statement as one batched
-        # (shares + deltas) mod p pass
-        per_provider_deltas: List[Dict[str, int]] = [
-            {} for _ in range(source.cluster.n_providers)
-        ]
-        for column, amount in deltas.items():
-            delta_shares = source.prepare_increment_shares(
-                stmt.table, column, amount
-            )
-            for i, share in enumerate(delta_shares):
-                per_provider_deltas[i][column] = share
-        requests = [
-            {
-                "table": stmt.table,
-                "row_ids": row_ids,
-                "deltas": per_provider_deltas[i],
-                "modulus": modulus,
-                "epoch": epoch,
-            }
-            for i in range(source.cluster.n_providers)
-        ]
-        ops = [self._op("increment_rows", stmt.table, epoch, requests)]
-        telemetry.count("txn.delta_statements", table=stmt.table)
-        return ops, len(row_ids)
+
+        def resolve(source):
+            sharing = source.sharing(stmt.table)
+            rewritten = source._rewrite(stmt.where.bind(sharing.schema), sharing)
+            if rewritten.provably_empty:
+                return 0, None
+            row_ids = source._fetch_row_ids(sharing, rewritten)
+            if not row_ids:
+                return 0, None
+            # one combined increment op carries every delta column: the
+            # row-id list is shipped once instead of once per column, and
+            # the provider applies the whole statement as one batched
+            # (shares + deltas) mod p pass
+            per_provider: List[Dict[str, int]] = [
+                {} for _ in range(source.cluster.n_providers)
+            ]
+            for column, amount in deltas.items():
+                delta_shares = source.prepare_increment_shares(
+                    stmt.table, column, amount
+                )
+                for i, share in enumerate(delta_shares):
+                    per_provider[i][column] = share
+            modulus = source.secrets.field.modulus
+            return len(row_ids), [
+                {"row_ids": row_ids, "deltas": d, "modulus": modulus}
+                for d in per_provider
+            ]
+
+        ops, total = self._per_group(stmt, "increment_rows", resolve)
+        if ops:
+            telemetry.count("txn.delta_statements", table=stmt.table)
+        return ops, total
 
     def _resolve_delete(self, stmt: Delete) -> Tuple[List[Dict], object]:
-        source = self.source
-        matches = source._fetch_matching_rows(stmt)
-        if not matches:
-            return [], 0
-        epoch = self._next_epoch(0, stmt.table)
-        row_ids = [rid for rid, _ in matches]
-        requests = [
-            {"table": stmt.table, "row_ids": row_ids, "epoch": epoch}
-            for _ in range(source.cluster.n_providers)
-        ]
-        op = self._op("delete_rows", stmt.table, epoch, requests)
-        return [op], len(matches)
+        def resolve(source):
+            row_ids = [rid for rid, _ in source._fetch_matching_rows(stmt)]
+            return len(row_ids), [{"row_ids": row_ids}] * (
+                source.cluster.n_providers
+            )
+
+        return self._per_group(stmt, "delete_rows", resolve)
 
     def _resolve_statement(self, stmt: Statement) -> Tuple[List[Dict], object]:
         if isinstance(stmt, Insert):
@@ -328,10 +354,10 @@ class TransactionManager:
         All of a table's ops share one epoch, so time travel can never
         observe a half-applied batch.
         """
-        source = self.source
+        source = self._group_source(0)
+        n = source.cluster.n_providers
         overlays: Dict[str, _BatchOverlay] = {}
         epochs: Dict[str, int] = {}
-        inserted: Dict[str, List[Tuple[int, Row]]] = {}
 
         def overlay(table: str) -> _BatchOverlay:
             if table not in overlays:
@@ -342,104 +368,66 @@ class TransactionManager:
                 epochs[table] = self._next_epoch(0, table)
             return overlays[table]
 
+        def matching(view: _BatchOverlay, stmt) -> List[Tuple[int, Row]]:
+            # the deployment's routing still vets the statement (e.g. it
+            # refuses assigning a range-partition column)
+            self._route(stmt)
+            bound = stmt.where.bind(source.sharing(stmt.table).schema)
+            return [
+                (rid, row)
+                for rid, row in sorted(view.rows.items())
+                if bound.matches(row)
+            ]
+
         ops: List[Dict] = []
         results: List[object] = []
-        n = source.cluster.n_providers
         for stmt in statements:
+            if not isinstance(stmt, (Insert, Update, Delete)):
+                raise TxnError(
+                    f"{type(stmt).__name__} cannot appear in an atomic batch"
+                )
+            view = overlay(stmt.table)
             if isinstance(stmt, Insert):
-                view = overlay(stmt.table)
-                prepared = source.prepare_insert_shares(stmt.table, [stmt.row])
-                rid = prepared[0][0]
+                [(rid, _)] = self._place(stmt.table, [stmt.row])
+                prepared = source.prepare_insert_shares(
+                    stmt.table, [stmt.row], [rid]
+                )
                 sharing = source.sharing(stmt.table)
                 view.rows[rid] = sharing.schema.validate_row(stmt.row)
-                inserted.setdefault(stmt.table, [])
-                requests = [
-                    {
-                        "table": stmt.table,
-                        "rows": [[r, shares[i]] for r, shares in prepared],
-                        "epoch": epochs[stmt.table],
-                    }
-                    for i in range(n)
-                ]
-                ops.append(
-                    self._op(
-                        "insert_many", stmt.table, epochs[stmt.table], requests
-                    )
+                method, payloads, result = (
+                    "insert_many", self._insert_payloads(prepared, n), rid
                 )
-                results.append(rid)
             elif isinstance(stmt, Update):
-                view = overlay(stmt.table)
-                sharing = source.sharing(stmt.table)
-                bound = stmt.where.bind(sharing.schema)
-                matches = [
-                    (rid, row)
-                    for rid, row in sorted(view.rows.items())
-                    if bound.matches(row)
-                ]
+                matches = matching(view, stmt)
                 if not matches:
                     results.append(0)
                     continue
                 # eager resolution against the overlay, then re-share via
                 # the same primitive the direct path uses
-                absolute = Update(
-                    stmt.table,
-                    stmt.assignments,
-                    stmt.where,
-                )
-                updates_per_provider = source.prepare_update_shares(
-                    absolute, matches
-                )
+                updates = source.prepare_update_shares(stmt, matches)
                 for rid, row in matches:
                     view.rows[rid] = dict(row)
                     view.rows[rid].update(
                         resolve_assignments(row, stmt.assignments)
                     )
-                requests = [
-                    {
-                        "table": stmt.table,
-                        "updates": updates_per_provider[i],
-                        "epoch": epochs[stmt.table],
-                    }
-                    for i in range(n)
-                ]
-                ops.append(
-                    self._op(
-                        "update_rows", stmt.table, epochs[stmt.table], requests
-                    )
+                method, payloads, result = (
+                    "update_rows", [{"updates": u} for u in updates],
+                    len(matches),
                 )
-                results.append(len(matches))
-            elif isinstance(stmt, Delete):
-                view = overlay(stmt.table)
-                sharing = source.sharing(stmt.table)
-                bound = stmt.where.bind(sharing.schema)
-                row_ids = [
-                    rid
-                    for rid, row in sorted(view.rows.items())
-                    if bound.matches(row)
-                ]
+            else:
+                row_ids = [rid for rid, _ in matching(view, stmt)]
                 if not row_ids:
                     results.append(0)
                     continue
                 for rid in row_ids:
                     del view.rows[rid]
-                requests = [
-                    {
-                        "table": stmt.table,
-                        "row_ids": row_ids,
-                        "epoch": epochs[stmt.table],
-                    }
-                    for _ in range(n)
-                ]
-                ops.append(
-                    self._op(
-                        "delete_rows", stmt.table, epochs[stmt.table], requests
-                    )
+                method, payloads, result = (
+                    "delete_rows", [{"row_ids": row_ids}] * n, len(row_ids)
                 )
-                results.append(len(row_ids))
-            else:
-                raise TxnError(
-                    f"{type(stmt).__name__} cannot appear in an atomic batch"
-                )
+            ops.append(
+                self._op(method, stmt.table, epochs[stmt.table], 0, payloads)
+            )
+            results.append(result)
         return ops, results
 
     # -- the write path ------------------------------------------------------------
@@ -498,7 +486,7 @@ class TransactionManager:
             statement = parse_sql(statement)
         if isinstance(statement, Select):
             self._barrier(statement.table)
-            return self.source.select(statement)
+            return self.deployment.select(statement)
         with telemetry.span("txn.execute", kind=type(statement).__name__):
             if isinstance(statement, (Update, Delete)):
                 self._barrier(statement.table)
@@ -514,8 +502,16 @@ class TransactionManager:
 
         All statements become durable together (one WAL record) and
         visible together (one staged-then-flipped provider txn, one
-        epoch per table).
+        epoch per table).  A batch commits on one provider group, so a
+        deployment with more than one group refuses it.
         """
+        n_groups = len(self._sources())
+        if n_groups > 1:
+            raise TxnError(
+                f"atomic batches run on one provider group and this "
+                f"deployment has {n_groups}; issue per-statement "
+                "transactions (each still crash-safe via the coordinator WAL)"
+            )
         parsed = [
             parse_sql(s) if isinstance(s, str) else s for s in statements
         ]
@@ -606,7 +602,7 @@ class TransactionManager:
             targets = source.cluster.write_targets()
             group_targets[g] = targets
 
-            def prepare_request(i: int, g=g) -> Dict:
+            def prepare_request(i: int, g=g, source=source) -> Dict:
                 return {
                     "txns": [
                         [
@@ -614,9 +610,7 @@ class TransactionManager:
                             [
                                 [
                                     op["method"],
-                                    self._group_source(g)._qualify(
-                                        dict(op["requests"][i])
-                                    ),
+                                    source._qualify(dict(op["requests"][i])),
                                 ]
                                 for op in txn.ops
                                 if op.get("group", 0) == g
@@ -777,125 +771,3 @@ class TransactionManager:
 
     def close(self) -> None:
         self.wal.close()
-
-
-class ShardedTransactionManager(TransactionManager):
-    """One coordinator WAL over a :class:`~repro.service.sharding.
-    ShardRouter`'s groups.
-
-    Resolution routes each statement to its owning group(s) and tags
-    every op with the group index; apply runs one prepare+commit round
-    per touched group, and replay re-routes from the tags — the
-    coordinator log is the single source of recovery truth for the
-    whole sharded deployment.
-
-    Pure-delta updates take the eager path here: a delta's predicate
-    must be re-evaluated per group anyway, so the id-only saving
-    mostly evaporates and the single code path is worth more than the
-    half-round.
-    """
-
-    def __init__(
-        self,
-        router,
-        wal_path: Optional[str] = None,
-        max_group: int = 128,
-        checkpoint_after: int = 256,
-    ) -> None:
-        super().__init__(
-            router.groups[0].source,
-            wal_path=wal_path,
-            max_group=max_group,
-            checkpoint_after=checkpoint_after,
-        )
-        self.router = router
-
-    def _group_source(self, group: int):
-        return self.router.groups[group].source
-
-    def _resolve_insert(self, stmt: Insert) -> Tuple[List[Dict], object]:
-        router = self.router
-        table = stmt.table
-        shard_map = router.shard_map(table)
-        start = router.reserve_row_ids(table, 1)
-        owner = router._owner_for_row(shard_map, table, start, stmt.row)
-        source = self._group_source(owner)
-        prepared = source.prepare_insert_shares(table, [stmt.row], [start])
-        epoch = self._next_epoch(owner, table)
-        requests = [
-            {
-                "table": table,
-                "rows": [[rid, shares[i]] for rid, shares in prepared],
-                "epoch": epoch,
-            }
-            for i in range(source.cluster.n_providers)
-        ]
-        return [
-            self._op("insert_many", table, epoch, requests, group=owner)
-        ], start
-
-    def _resolve_update(self, stmt: Update) -> Tuple[List[Dict], object]:
-        ops: List[Dict] = []
-        total = 0
-        for owner in self._owners_for(stmt):
-            source = self._group_source(owner)
-            matches = source._fetch_matching_rows(stmt)
-            if not matches:
-                continue
-            updates_per_provider = source.prepare_update_shares(stmt, matches)
-            epoch = self._next_epoch(owner, stmt.table)
-            requests = [
-                {
-                    "table": stmt.table,
-                    "updates": updates_per_provider[i],
-                    "epoch": epoch,
-                }
-                for i in range(source.cluster.n_providers)
-            ]
-            ops.append(
-                self._op(
-                    "update_rows", stmt.table, epoch, requests, group=owner
-                )
-            )
-            total += len(matches)
-        return ops, total
-
-    def _resolve_delete(self, stmt: Delete) -> Tuple[List[Dict], object]:
-        ops: List[Dict] = []
-        total = 0
-        for owner in self._owners_for(stmt):
-            source = self._group_source(owner)
-            matches = source._fetch_matching_rows(stmt)
-            if not matches:
-                continue
-            epoch = self._next_epoch(owner, stmt.table)
-            row_ids = [rid for rid, _ in matches]
-            requests = [
-                {"table": stmt.table, "row_ids": row_ids, "epoch": epoch}
-                for _ in range(source.cluster.n_providers)
-            ]
-            ops.append(
-                self._op(
-                    "delete_rows", stmt.table, epoch, requests, group=owner
-                )
-            )
-            total += len(matches)
-        return ops, total
-
-    def _owners_for(self, stmt: Union[Update, Delete]) -> List[int]:
-        from ..service.sharding import rewrite_predicate
-
-        router = self.router
-        shard_map = router.shard_map(stmt.table)
-        sharing = router._sharing(stmt.table)
-        rewritten = rewrite_predicate(
-            stmt.where.bind(sharing.schema), sharing
-        )
-        return router._read_owners(shard_map, rewritten)
-
-    def _resolve_batch(self, statements):
-        raise TxnError(
-            "atomic batches are not supported on the sharded manager; "
-            "issue per-statement transactions (each still crash-safe via "
-            "the coordinator WAL)"
-        )

@@ -199,6 +199,8 @@ class TestTier1Gate:
         # agree with plain reads
         assert "tests/client/test_read_paths.py" in runs
         assert "tests/txn/test_recovery.py" in runs
+        # one transaction manager for DataSource and ShardRouter alike
+        assert "tests/txn/test_deployments.py" in runs
         assert "bench_resilience.py --check" in runs
         assert "repro.cli repair" in runs
         assert "repro.cli shard-split" in runs

@@ -25,7 +25,7 @@ from repro.sqlengine.executor import PlaintextExecutor
 from repro.sqlengine.schema import TableSchema, integer_column
 from repro.sqlengine.sqlparser import parse_sql
 from repro.sqlengine.table import Table
-from repro.txn import KILL_PHASES, ShardedTransactionManager, TransactionManager
+from repro.txn import KILL_PHASES, TransactionManager
 
 ROWS = 8
 START = 100_000
@@ -151,7 +151,7 @@ def test_sharded_delta_sequence_equals_oracle(ops):
         n_groups=2, providers_per_group=3, threshold=2, seed=5
     )
     router.create_table(accounts_schema())
-    manager = ShardedTransactionManager(router)
+    manager = TransactionManager(router)
     fill(manager)
     for op in ops:
         text = to_sql(op)

@@ -10,7 +10,7 @@ from repro.sqlengine.executor import PlaintextExecutor
 from repro.sqlengine.schema import TableSchema, integer_column
 from repro.sqlengine.sqlparser import parse_sql
 from repro.sqlengine.table import Table
-from repro.txn import KILL_PHASES, ShardedTransactionManager, TransactionManager
+from repro.txn import KILL_PHASES, TransactionManager
 
 ROWS = 14
 
@@ -62,7 +62,7 @@ def make_sharded(wal_path):
         n_groups=2, providers_per_group=3, threshold=2, seed=11
     )
     router.create_table(accounts_schema())
-    return router, ShardedTransactionManager(router, wal_path)
+    return router, TransactionManager(router, wal_path)
 
 
 SCRIPT = [
@@ -91,11 +91,7 @@ def drill(make, wal_path, phase):
     if phase != "pre-log":
         oracle.execute(parse_sql(VICTIM))
     manager.close()
-    recovering = (
-        ShardedTransactionManager(reader, wal_path)
-        if isinstance(manager, ShardedTransactionManager)
-        else TransactionManager(reader, wal_path)
-    )
+    recovering = TransactionManager(reader, wal_path)
     report = recovering.recover()
     return reader, recovering, catalog, report
 
